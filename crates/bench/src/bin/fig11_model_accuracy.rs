@@ -25,7 +25,7 @@ fn main() {
 
     // Train on the profiled five (70-sample regime of §7.3).
     let db = profiler.build_database(&gt, &gt.zoo().profiled_task_ids(), &mut rng);
-    let modeler = InterferenceModeler::train(&db, &mut rng).expect("non-empty database");
+    let modeler = InterferenceModeler::train(&db, &rng).expect("non-empty database");
 
     // Test set: fits for the four unobserved tasks.
     let mut test = ProfileDatabase::new();

@@ -63,7 +63,7 @@ fn main() {
             }
         }
         let samples_per_service = db.len() / gt.zoo().services().len();
-        let modeler = InterferenceModeler::train(&db, &mut rng).expect("non-empty");
+        let modeler = InterferenceModeler::train(&db, &rng).expect("non-empty");
 
         let mut total = 0.0f64;
         let mut count = 0.0f64;

@@ -244,12 +244,13 @@ pub(super) struct SharedState {
 /// phase. Lanes are built once at construction along the
 /// [`ShardMap`]'s contiguous device ranges.
 pub(super) struct LaneBox {
-    /// This lane's replica of the system under test. Every replica is
-    /// built from the same `fork("system")` seed, so offline profiling
-    /// and tuner priors are identical across lanes; each replica's
-    /// tuner history then only ever sees its own devices' retunes,
-    /// which keeps the histories partition-invariant (retune draws come
-    /// from per-device substreams anyway).
+    /// This lane's replica of the system under test. Lane 0's is built
+    /// from the `fork("system")` seed and the others are its
+    /// `replicate()`s, so offline profiling and tuner priors are
+    /// identical across lanes; each replica's tuner history then only
+    /// ever sees its own devices' retunes, which keeps the histories
+    /// partition-invariant (retune draws come from per-device
+    /// substreams anyway).
     pub system: Box<dyn Multiplexer>,
     /// The lane's event queue (lane-local events only).
     pub events: EventLane,
@@ -566,18 +567,25 @@ impl SimState {
         };
 
         // Build the lanes along the map's contiguous device ranges.
-        // Every lane's system replica is built from the same
-        // `fork("system")` seed (fork is pure), so replicas are
-        // identical at construction including offline profiling.
+        // The system (offline profiling and model selection included)
+        // is built once from the `fork("system")` seed; every further
+        // lane gets a `replicate()` of it, which shares the trained
+        // models and starts with fresh per-run state, so all lanes
+        // start identical to a lane built from that seed.
         let map = ShardMap::new(&topo, shards.max(1));
         let lane_idx: Vec<u32> = (0..config.devices)
             .map(|d| map.shard_of_device(&topo, d) as u32)
             .collect();
+        let mut systems = vec![build_system(config.system, &gt, &mut rng.fork("system"))];
+        while systems.len() < map.shards() {
+            let replica = systems[0].replicate();
+            systems.push(replica);
+        }
         let mut lanes = Vec::with_capacity(map.shards());
-        for s in 0..map.shards() {
+        for (s, system) in systems.into_iter().enumerate() {
             let range = map.device_range(s);
             lanes.push(LaneBox {
-                system: build_system(config.system, &gt, &mut rng.fork("system")),
+                system,
                 events: EventLane::new(range.start, range.len(), 64),
                 // Steady-state stepping must not allocate: size the
                 // outbox for a full window of per-device progress and

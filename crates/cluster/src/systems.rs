@@ -184,6 +184,14 @@ pub trait Multiplexer: Send {
 
     /// The system's kind.
     fn kind(&self) -> SystemKind;
+
+    /// A replica in the state [`build_system`] returns, without
+    /// repeating its offline profiling: trained models are shared, and
+    /// every piece of per-run state (memos, tuner and selector
+    /// workspaces, feedback and decision tables) starts empty. A
+    /// replica makes the same decisions as a fresh build from the same
+    /// seed, whatever `self` has done since it was built.
+    fn replicate(&self) -> Box<dyn Multiplexer>;
 }
 
 /// Builds the system implementation, running any offline profiling it
@@ -233,6 +241,11 @@ impl MudiSystem {
         }
         let predictor = InterferencePredictor::new(db, &mut prof_rng)
             .expect("offline profiling produced a non-empty database");
+        Self::assemble(kind, config, predictor)
+    }
+
+    /// Wraps a trained predictor with a fresh selector and tuner.
+    fn assemble(kind: SystemKind, config: MudiConfig, predictor: InterferencePredictor) -> Self {
         MudiSystem {
             kind,
             selector: DeviceSelector::new(config.clone()),
@@ -371,6 +384,11 @@ impl Multiplexer for MudiSystem {
 
     fn kind(&self) -> SystemKind {
         self.kind
+    }
+
+    fn replicate(&self) -> Box<dyn Multiplexer> {
+        let predictor = self.predictor.replicate();
+        Box::new(Self::assemble(self.kind, self.config.clone(), predictor))
     }
 }
 
@@ -516,6 +534,13 @@ impl Multiplexer for Gslice {
     fn kind(&self) -> SystemKind {
         SystemKind::Gslice
     }
+
+    fn replicate(&self) -> Box<dyn Multiplexer> {
+        Box::new(Gslice {
+            fractions: HashMap::new(),
+            _rng: self._rng.clone(),
+        })
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -621,6 +646,13 @@ impl Multiplexer for Gpulets {
 
     fn kind(&self) -> SystemKind {
         SystemKind::Gpulets
+    }
+
+    fn replicate(&self) -> Box<dyn Multiplexer> {
+        Box::new(Gpulets {
+            predictor: self.predictor.replicate(),
+            config: self.config.clone(),
+        })
     }
 }
 
@@ -787,6 +819,15 @@ impl Multiplexer for MuxFlow {
     fn kind(&self) -> SystemKind {
         SystemKind::MuxFlow
     }
+
+    fn replicate(&self) -> Box<dyn Multiplexer> {
+        Box::new(MuxFlow {
+            predictor: self.predictor.replicate(),
+            config: self.config.clone(),
+            profiled: self.profiled.clone(),
+            decisions: HashMap::new(),
+        })
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -835,6 +876,10 @@ impl Multiplexer for RandomSystem {
 
     fn kind(&self) -> SystemKind {
         SystemKind::Random
+    }
+
+    fn replicate(&self) -> Box<dyn Multiplexer> {
+        Box::new(RandomSystem)
     }
 }
 
@@ -990,6 +1035,10 @@ impl Multiplexer for Optimal {
 
     fn kind(&self) -> SystemKind {
         SystemKind::Optimal
+    }
+
+    fn replicate(&self) -> Box<dyn Multiplexer> {
+        Box::new(Optimal::default())
     }
 }
 

@@ -84,6 +84,7 @@ pub fn feature_row(arch: &NetworkArchitecture, batch: u32) -> Vec<f64> {
 }
 
 /// One service's four trained target models.
+#[derive(Clone)]
 struct ServiceModels {
     models: HashMap<TargetParam, SelectionReport>,
     data: HashMap<TargetParam, Dataset>,
@@ -153,93 +154,125 @@ fn decode_relative(target: TargetParam, learned: f64, solo: f64) -> f64 {
 const RANGE_SLACK: f64 = 0.4;
 
 /// The trained interference modeler.
+///
+/// Cloning shares every trained model (see [`SelectionReport`]), so a
+/// replica costs the training data and solo references only.
+#[derive(Clone)]
 pub struct InterferenceModeler {
     per_service: HashMap<ServiceId, ServiceModels>,
 }
 
+/// Runs one model selection per (service, target) cell on up to
+/// `workers` pool threads, returning the reports service-major in
+/// [`TargetParam::ALL`] order. A cell only forks `rng`, and a fork is
+/// keyed by the seed, never by stream position, so every report is the
+/// same at any worker count and in any completion order.
+fn select_cells(
+    datas: &[&HashMap<TargetParam, Dataset>],
+    rng: &SimRng,
+    workers: usize,
+) -> Vec<Option<SelectionReport>> {
+    let cells: Vec<(usize, TargetParam)> = (0..datas.len())
+        .flat_map(|i| TargetParam::ALL.into_iter().map(move |t| (i, t)))
+        .collect();
+    simcore::scoped_map_workers(cells, workers, |(i, t)| {
+        select_best_model(&datas[i][&t], 4, rng)
+    })
+}
+
 impl InterferenceModeler {
-    /// Trains from an offline profile database.
+    /// Trains from an offline profile database, running the per-metric
+    /// model selections in parallel (bit-identical to a serial run).
     ///
     /// Returns `None` if the database has no records.
-    pub fn train(db: &ProfileDatabase, rng: &mut SimRng) -> Option<Self> {
+    pub fn train(db: &ProfileDatabase, rng: &SimRng) -> Option<Self> {
+        Self::train_workers(db, rng, simcore::max_workers())
+    }
+
+    /// [`InterferenceModeler::train`] on an explicit worker count.
+    fn train_workers(db: &ProfileDatabase, rng: &SimRng, workers: usize) -> Option<Self> {
         if db.is_empty() {
             return None;
         }
-        let mut per_service = HashMap::new();
         let service_ids: Vec<ServiceId> = {
             let mut ids: Vec<ServiceId> = db.records().iter().map(|r| r.key.service).collect();
             ids.sort();
             ids.dedup();
             ids
         };
-        for service in service_ids {
-            // Solo reference curves for this service.
-            let mut solo: Vec<(u32, PiecewiseLinear)> = db
-                .for_service(service)
-                .filter(|r| r.key.tasks.is_empty())
-                .map(|r| (r.key.batch, r.curve))
-                .collect();
-            solo.sort_by_key(|&(b, _)| b);
-            let skeleton = ServiceModels {
-                models: HashMap::new(),
-                data: HashMap::new(),
-                ranges: HashMap::new(),
-                solo,
-            };
+        let mut services: Vec<(ServiceId, ServiceModels)> = service_ids
+            .into_iter()
+            .map(|service| (service, Self::untrained(db, service)))
+            .collect();
+        let datas: Vec<&HashMap<TargetParam, Dataset>> =
+            services.iter().map(|(_, s)| &s.data).collect();
+        let mut reports = select_cells(&datas, rng, workers).into_iter();
+        for (_, svc) in &mut services {
+            for &target in &TargetParam::ALL {
+                let report = reports.next().expect("one report per cell")?;
+                svc.models.insert(target, report);
+            }
+            svc.ranges = Self::target_ranges(&svc.data);
+        }
+        Some(InterferenceModeler {
+            per_service: services.into_iter().collect(),
+        })
+    }
 
-            let mut data: HashMap<TargetParam, Dataset> = TargetParam::ALL
+    /// One service's solo references and per-target training sets,
+    /// with no models trained yet.
+    fn untrained(db: &ProfileDatabase, service: ServiceId) -> ServiceModels {
+        // Solo reference curves for this service.
+        let mut solo: Vec<(u32, PiecewiseLinear)> = db
+            .for_service(service)
+            .filter(|r| r.key.tasks.is_empty())
+            .map(|r| (r.key.batch, r.curve))
+            .collect();
+        solo.sort_by_key(|&(b, _)| b);
+        let mut svc = ServiceModels {
+            models: HashMap::new(),
+            data: TargetParam::ALL
                 .iter()
                 .map(|&t| (t, Dataset::new()))
-                .collect();
+                .collect(),
+            ranges: HashMap::new(),
+            solo,
+        };
+        for rec in db.for_service(service) {
+            if rec.key.tasks.is_empty() {
+                continue; // Solo rows are the reference, not data.
+            }
+            let Some(solo_ref) = svc.solo_at(rec.key.batch) else {
+                continue;
+            };
+            let row = feature_row(&rec.merged_arch, rec.key.batch);
+            for &target in &TargetParam::ALL {
+                let y = encode_relative(
+                    target,
+                    target.extract(&rec.curve),
+                    target.extract(&solo_ref),
+                );
+                svc.data
+                    .get_mut(&target)
+                    .expect("all targets present")
+                    .push(row.clone(), y);
+            }
+        }
+        if svc.data[&TargetParam::K1].is_empty() {
+            // Solo-only database (e.g. the gpulets baseline): learn
+            // a zero-interference model from the solo rows so
+            // prediction still works.
             for rec in db.for_service(service) {
-                if rec.key.tasks.is_empty() {
-                    continue; // Solo rows are the reference, not data.
-                }
-                let Some(solo_ref) = skeleton.solo_at(rec.key.batch) else {
-                    continue;
-                };
                 let row = feature_row(&rec.merged_arch, rec.key.batch);
                 for &target in &TargetParam::ALL {
-                    let y = encode_relative(
-                        target,
-                        target.extract(&rec.curve),
-                        target.extract(&solo_ref),
-                    );
-                    data.get_mut(&target)
+                    svc.data
+                        .get_mut(&target)
                         .expect("all targets present")
-                        .push(row.clone(), y);
+                        .push(row.clone(), 0.0);
                 }
             }
-            if data[&TargetParam::K1].is_empty() {
-                // Solo-only database (e.g. the gpulets baseline): learn
-                // a zero-interference model from the solo rows so
-                // prediction still works.
-                for rec in db.for_service(service) {
-                    let row = feature_row(&rec.merged_arch, rec.key.batch);
-                    for &target in &TargetParam::ALL {
-                        data.get_mut(&target)
-                            .expect("all targets present")
-                            .push(row.clone(), 0.0);
-                    }
-                }
-            }
-            let mut models = HashMap::new();
-            for &target in &TargetParam::ALL {
-                let report = select_best_model(&data[&target], 4, rng)?;
-                models.insert(target, report);
-            }
-            let ranges = Self::target_ranges(&data);
-            per_service.insert(
-                service,
-                ServiceModels {
-                    models,
-                    data,
-                    ranges,
-                    solo: skeleton.solo,
-                },
-            );
         }
-        Some(InterferenceModeler { per_service })
+        svc
     }
 
     /// Predicts the Eq. 1 curve for a service co-located with training
@@ -290,7 +323,7 @@ impl InterferenceModeler {
     /// co-locations with previously unseen tasks) and retrains the
     /// affected services (§4.1.2: "the prediction model … can be
     /// incrementally updated").
-    pub fn update(&mut self, db: &ProfileDatabase, rng: &mut SimRng) {
+    pub fn update(&mut self, db: &ProfileDatabase, rng: &SimRng) {
         for rec in db.records() {
             let Some(svc) = self.per_service.get_mut(&rec.key.service) else {
                 continue;
@@ -314,9 +347,15 @@ impl InterferenceModeler {
                     .push(row.clone(), y);
             }
         }
-        for svc in self.per_service.values_mut() {
+        // Retrain every service, one pool cell per (service, target);
+        // a failed selection keeps the previous model.
+        let mut services: Vec<&mut ServiceModels> = self.per_service.values_mut().collect();
+        let datas: Vec<&HashMap<TargetParam, Dataset>> = services.iter().map(|s| &s.data).collect();
+        let reports = select_cells(&datas, rng, simcore::max_workers());
+        let mut reports = reports.into_iter();
+        for svc in &mut services {
             for &target in &TargetParam::ALL {
-                if let Some(report) = select_best_model(&svc.data[&target], 4, rng) {
+                if let Some(report) = reports.next().expect("one report per cell") {
                     svc.models.insert(target, report);
                 }
             }
@@ -364,7 +403,7 @@ mod tests {
         let profiler = LatencyProfiler::new(MudiConfig::default());
         let mut rng = SimRng::seed(3);
         let db = profiler.build_database(&gt, &gt.zoo().profiled_task_ids(), &mut rng);
-        let modeler = InterferenceModeler::train(&db, &mut rng).unwrap();
+        let modeler = InterferenceModeler::train(&db, &rng).unwrap();
         (gt, modeler)
     }
 
@@ -404,7 +443,7 @@ mod tests {
         let mut rng = SimRng::seed(3);
         let profiled = gt.zoo().profiled_task_ids();
         let db = profiler.build_database(&gt, &profiled, &mut rng);
-        let m = InterferenceModeler::train(&db, &mut rng).unwrap();
+        let m = InterferenceModeler::train(&db, &rng).unwrap();
         let svc = gt.zoo().service_by_name("BERT").unwrap().id;
         for &task in &profiled {
             let arch = gt.zoo().task(task).arch;
@@ -454,14 +493,45 @@ mod tests {
                 extra.insert(rec);
             }
         }
-        m.update(&extra, &mut rng);
+        m.update(&extra, &rng);
         assert_eq!(m.training_size(gt.zoo().services()[0].id), before + 1);
+    }
+
+    /// The (service × target) selection cells run on the pool; the
+    /// trained modeler must not depend on how many workers ran them.
+    #[test]
+    fn training_is_identical_at_every_worker_count() {
+        let gt = GroundTruth::new(Zoo::standard(), 5);
+        let config = MudiConfig::default();
+        let profiler = LatencyProfiler::new(config.clone());
+        let mut rng = SimRng::seed(3);
+        let db = profiler.build_database(&gt, &gt.zoo().profiled_task_ids(), &mut rng);
+        let fingerprint = |m: &InterferenceModeler| {
+            let mut out = Vec::new();
+            for svc in gt.zoo().services() {
+                for target in TargetParam::ALL {
+                    out.push(format!("{:?}", m.chosen_kind(svc.id, target)));
+                }
+                for task in gt.zoo().tasks() {
+                    for &batch in &config.profile_batches {
+                        let curve = m.predict(svc.id, &task.arch, batch).unwrap();
+                        out.extend(curve.params().map(|p| format!("{:016x}", p.to_bits())));
+                    }
+                }
+            }
+            out
+        };
+        let serial = fingerprint(&InterferenceModeler::train_workers(&db, &rng, 1).unwrap());
+        for workers in [2, 8] {
+            let m = InterferenceModeler::train_workers(&db, &rng, workers).unwrap();
+            assert_eq!(fingerprint(&m), serial, "workers={workers}");
+        }
     }
 
     #[test]
     fn empty_database_rejected() {
-        let mut rng = SimRng::seed(1);
-        assert!(InterferenceModeler::train(&ProfileDatabase::new(), &mut rng).is_none());
+        let rng = SimRng::seed(1);
+        assert!(InterferenceModeler::train(&ProfileDatabase::new(), &rng).is_none());
     }
 
     #[test]

@@ -42,6 +42,17 @@ impl InterferencePredictor {
         })
     }
 
+    /// A replica for another engine lane: shares the trained models'
+    /// weights, copies the profile database and training data, and
+    /// starts with an empty memo. Predicts exactly as `self` does.
+    pub fn replicate(&self) -> Self {
+        InterferencePredictor {
+            modeler: self.modeler.clone(),
+            db: self.db.clone(),
+            memo: RefCell::new(HashMap::new()),
+        }
+    }
+
     /// Predicts the latency curve for an *explicit* co-located task
     /// set: exact profile when available, learned prediction otherwise.
     pub fn curve_for_tasks(

@@ -69,25 +69,31 @@ impl PiecewiseLinear {
     /// Smallest `x` in `[lo, hi]` with `eval(x) <= target`, if any.
     ///
     /// For latency curves (`k1 < 0`) the function is non-increasing, so
-    /// this is the minimum GPU fraction meeting a latency budget.
+    /// this is the minimum GPU fraction meeting a latency budget. The
+    /// cutoff may lie outside `[lo, hi]`; a segment that lies wholly
+    /// outside the interval offers no candidate.
     pub fn min_x_meeting(&self, target: f64, lo: f64, hi: f64) -> Option<f64> {
         assert!(lo <= hi, "empty interval");
-        // Candidate on the left segment.
+        // Candidate on the left segment (x ≤ x0); none when x0 < lo.
         if self.k1 < 0.0 {
-            let x = self.x0 + (target - self.y0) / self.k1;
-            let x = x.clamp(lo, hi.min(self.x0));
-            if x >= lo && self.eval(x) <= target + 1e-9 {
-                return Some(x);
+            if self.x0 >= lo {
+                let x = self.x0 + (target - self.y0) / self.k1;
+                let x = x.clamp(lo, hi.min(self.x0));
+                if self.eval(x) <= target + 1e-9 {
+                    return Some(x);
+                }
             }
         } else if self.eval(lo) <= target {
             return Some(lo);
         }
-        // Candidate on the right segment.
+        // Candidate on the right segment (x ≥ x0); none when x0 > hi.
         if self.k2 < 0.0 {
-            let x = self.x0 + (target - self.y0) / self.k2;
-            let x = x.clamp(lo.max(self.x0), hi);
-            if x <= hi && self.eval(x) <= target + 1e-9 {
-                return Some(x);
+            if self.x0 <= hi {
+                let x = self.x0 + (target - self.y0) / self.k2;
+                let x = x.clamp(lo.max(self.x0), hi);
+                if self.eval(x) <= target + 1e-9 {
+                    return Some(x);
+                }
             }
         } else if self.x0 <= hi && self.eval(self.x0.max(lo)) <= target {
             return Some(self.x0.max(lo));
@@ -197,6 +203,37 @@ mod tests {
         let x = f.min_x_meeting(29.0, 0.1, 1.0).unwrap();
         assert!(x > f.x0);
         assert!(f.eval(x) <= 29.0 + 1e-9);
+    }
+
+    #[test]
+    fn min_x_meeting_cutoff_above_interval() {
+        // Δ0 past hi (a predicted cutoff of 0.905 against a 0.9 cap):
+        // only the left segment lies in the interval.
+        let f = PiecewiseLinear {
+            k1: -100.0,
+            k2: -5.0,
+            x0: 0.905,
+            y0: 20.0,
+        };
+        let x = f.min_x_meeting(25.0, 0.1, 0.9).unwrap();
+        assert!((x - 0.855).abs() < 1e-9, "x = {x}");
+        // Met only past the cutoff, i.e. outside the interval.
+        assert_eq!(f.min_x_meeting(19.0, 0.1, 0.9), None);
+    }
+
+    #[test]
+    fn min_x_meeting_cutoff_below_interval() {
+        // Δ0 below lo: only the right segment lies in the interval.
+        let f = PiecewiseLinear {
+            k1: -100.0,
+            k2: -5.0,
+            x0: 0.05,
+            y0: 20.0,
+        };
+        let x = f.min_x_meeting(18.0, 0.1, 1.0).unwrap();
+        assert!((x - 0.45).abs() < 1e-9, "x = {x}");
+        assert_eq!(f.min_x_meeting(30.0, 0.1, 1.0), Some(0.1));
+        assert_eq!(f.min_x_meeting(10.0, 0.1, 1.0), None);
     }
 
     #[test]

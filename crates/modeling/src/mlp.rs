@@ -4,6 +4,14 @@
 //! Tab. 2 and as one of the Interference Modeler's candidate learners.
 //! The network is fully connected with tanh activations and a linear
 //! output; inputs and the target are standardized internally.
+//!
+//! Weights are stored flat and row-major per layer, and training runs
+//! in a workspace sized once per fit, so the epoch loop performs no
+//! allocation. Every floating-point operation keeps the order of the
+//! straightforward nested-`Vec` formulation (same `dot` folds, same
+//! per-sample accumulation, same Adam update order): a trained model's
+//! predictions are bit-for-bit those of that formulation, pinned by
+//! `golden_prediction_bits` below.
 
 use simcore::SimRng;
 
@@ -12,46 +20,63 @@ use crate::regressor::{Dataset, Regressor, Standardizer};
 /// One dense layer: `y = W x + b` with optional tanh.
 #[derive(Clone, Debug)]
 struct Layer {
-    weights: Vec<Vec<f64>>, // [out][in]
+    /// `[out][in]`, flattened row-major.
+    weights: Vec<f64>,
     biases: Vec<f64>,
+    inputs: usize,
     tanh: bool,
 }
 
 impl Layer {
     fn new(inputs: usize, outputs: usize, tanh: bool, rng: &mut SimRng) -> Self {
-        // Xavier-style initialization.
+        // Xavier-style initialization, drawn row by row.
         let scale = (2.0 / (inputs + outputs) as f64).sqrt();
         Layer {
-            weights: (0..outputs)
-                .map(|_| {
-                    (0..inputs)
-                        .map(|_| (rng.f64() * 2.0 - 1.0) * scale)
-                        .collect()
-                })
+            weights: (0..outputs * inputs)
+                .map(|_| (rng.f64() * 2.0 - 1.0) * scale)
                 .collect(),
             biases: vec![0.0; outputs],
+            inputs,
             tanh,
         }
     }
 
-    fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let pre: Vec<f64> = self
-            .weights
-            .iter()
-            .zip(&self.biases)
-            .map(|(w, &b)| crate::linalg::dot(w, x) + b)
-            .collect();
-        let post = if self.tanh {
-            pre.iter().map(|&z| z.tanh()).collect()
-        } else {
-            pre.clone()
-        };
-        (pre, post)
+    fn outputs(&self) -> usize {
+        self.biases.len()
+    }
+
+    /// Writes the layer's activations for input `x` into `out`.
+    ///
+    /// Each output is `dot(row, x) + b`, its dot product folded over the
+    /// inputs in order exactly as [`crate::linalg::dot`] folds it; the
+    /// outputs' folds advance together, one input at a time, so the
+    /// independent accumulations overlap instead of waiting on each
+    /// other.
+    fn forward_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.inputs);
+        out.fill(fold_start());
+        for (j, &xj) in x.iter().enumerate() {
+            let column = self.weights[j..].iter().step_by(self.inputs);
+            for (acc, &w) in out.iter_mut().zip(column) {
+                *acc += w * xj;
+            }
+        }
+        for (y, &b) in out.iter_mut().zip(&self.biases) {
+            let z = *y + b;
+            *y = if self.tanh { z.tanh() } else { z };
+        }
     }
 }
 
+/// The starting value of an `f64` [`Iterator::sum`] fold (the neutral
+/// element it adds onto), so hand-written folds match `sum()` bit for
+/// bit, signed zeros included.
+fn fold_start() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
 /// Adam optimizer state for one parameter tensor.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Adam {
     m: Vec<f64>,
     v: Vec<f64>,
@@ -59,23 +84,58 @@ struct Adam {
 }
 
 impl Adam {
+    fn new(len: usize) -> Self {
+        Adam {
+            m: vec![0.0; len],
+            v: vec![0.0; len],
+            t: 0,
+        }
+    }
+
     fn step(&mut self, params: &mut [f64], grads: &[f64], lr: f64) {
         const B1: f64 = 0.9;
         const B2: f64 = 0.999;
         const EPS: f64 = 1e-8;
-        if self.m.is_empty() {
-            self.m = vec![0.0; params.len()];
-            self.v = vec![0.0; params.len()];
-        }
         self.t += 1;
         let bc1 = 1.0 - B1.powi(self.t as i32);
         let bc2 = 1.0 - B2.powi(self.t as i32);
-        for i in 0..params.len() {
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * grads[i];
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * grads[i] * grads[i];
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            params[i] -= lr * mhat / (vhat.sqrt() + EPS);
+        let moments = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            *m = B1 * *m + (1.0 - B1) * g;
+            *v = B2 * *v + (1.0 - B2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + EPS);
+        }
+    }
+}
+
+/// Per-fit training buffers, one entry per layer, sized at construction.
+struct Workspace {
+    /// Each layer's output activations for the current sample.
+    post: Vec<Vec<f64>>,
+    /// Each layer's pre-activation gradient for the current sample.
+    dz: Vec<Vec<f64>>,
+    /// Batch-accumulated weight gradients (row-major like the weights).
+    w_grads: Vec<Vec<f64>>,
+    /// Batch-accumulated bias gradients.
+    b_grads: Vec<Vec<f64>>,
+    /// Adam state for each layer's `(weights, biases)`.
+    adams: Vec<(Adam, Adam)>,
+}
+
+impl Workspace {
+    fn new(layers: &[Layer]) -> Self {
+        let per_out = |l: &Layer| vec![0.0; l.outputs()];
+        Workspace {
+            post: layers.iter().map(per_out).collect(),
+            dz: layers.iter().map(per_out).collect(),
+            w_grads: layers.iter().map(|l| vec![0.0; l.weights.len()]).collect(),
+            b_grads: layers.iter().map(per_out).collect(),
+            adams: layers
+                .iter()
+                .map(|l| (Adam::new(l.weights.len()), Adam::new(l.outputs())))
+                .collect(),
         }
     }
 }
@@ -131,10 +191,7 @@ impl MlpRegressor {
             .map(|(i, w)| Layer::new(w[0], w[1], i + 2 < dims.len(), &mut net_rng))
             .collect();
 
-        let mut adams: Vec<(Adam, Adam)> = layers
-            .iter()
-            .map(|_| (Adam::default(), Adam::default()))
-            .collect();
+        let mut ws = Workspace::new(&layers);
         let mut order: Vec<usize> = (0..xs.len()).collect();
         let mut shuffle_rng = rng.fork("mlp-shuffle");
         const BATCH: usize = 8;
@@ -142,7 +199,7 @@ impl MlpRegressor {
         for _ in 0..epochs {
             shuffle_rng.shuffle(&mut order);
             for chunk in order.chunks(BATCH) {
-                train_batch(&mut layers, &mut adams, &xs, &ys, chunk, lr);
+                train_batch(&mut layers, &mut ws, &xs, &ys, chunk, lr);
             }
         }
 
@@ -155,85 +212,84 @@ impl MlpRegressor {
     }
 }
 
+/// One mini-batch: accumulates per-sample gradients in batch order,
+/// then applies one Adam step per tensor.
 fn train_batch(
     layers: &mut [Layer],
-    adams: &mut [(Adam, Adam)],
+    ws: &mut Workspace,
     xs: &[Vec<f64>],
     ys: &[f64],
     batch: &[usize],
     lr: f64,
 ) {
-    // Accumulate gradients over the batch.
-    let mut w_grads: Vec<Vec<f64>> = layers
-        .iter()
-        .map(|l| vec![0.0; l.weights.len() * l.weights[0].len()])
-        .collect();
-    let mut b_grads: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.biases.len()]).collect();
-
+    for g in ws.w_grads.iter_mut().chain(ws.b_grads.iter_mut()) {
+        g.fill(0.0);
+    }
+    let out = layers.len() - 1;
     for &i in batch {
-        // Forward pass, caching activations.
-        let mut activations = vec![xs[i].clone()];
-        let mut pres = Vec::new();
-        for layer in layers.iter() {
-            let (pre, post) = layer.forward(activations.last().expect("nonempty"));
-            pres.push(pre);
-            activations.push(post);
+        // Forward pass, caching every layer's output.
+        for (l, layer) in layers.iter().enumerate() {
+            let (below, rest) = ws.post.split_at_mut(l);
+            let input: &[f64] = if l == 0 { &xs[i] } else { &below[l - 1] };
+            layer.forward_into(input, &mut rest[0]);
         }
-        let pred = activations.last().expect("output layer")[0];
         // d(MSE)/d(pred), per-example.
-        let mut delta = vec![2.0 * (pred - ys[i]) / batch.len() as f64];
+        ws.dz[out][0] = 2.0 * (ws.post[out][0] - ys[i]) / batch.len() as f64;
 
-        // Backward pass.
+        // Backward pass: on entry `dz[l]` holds the gradient w.r.t.
+        // layer l's output; it becomes the pre-activation gradient.
         for (l, layer) in layers.iter().enumerate().rev() {
-            // Through the activation.
-            let dz: Vec<f64> = if layer.tanh {
-                delta
-                    .iter()
-                    .zip(&pres[l])
-                    .map(|(&d, &z)| d * (1.0 - z.tanh().powi(2)))
-                    .collect()
-            } else {
-                delta.clone()
-            };
-            let input = &activations[l];
-            let in_dim = input.len();
-            for (o, &dzo) in dz.iter().enumerate() {
-                b_grads[l][o] += dzo;
-                for (j, &xj) in input.iter().enumerate() {
-                    w_grads[l][o * in_dim + j] += dzo * xj;
+            if layer.tanh {
+                // tanh' = 1 − tanh², from the cached forward output.
+                for (d, &p) in ws.dz[l].iter_mut().zip(&ws.post[l]) {
+                    *d *= 1.0 - p.powi(2);
                 }
             }
-            // Propagate to the previous layer.
+            let input: &[f64] = if l == 0 { &xs[i] } else { &ws.post[l - 1] };
+            let in_dim = layer.inputs;
+            for (o, &dzo) in ws.dz[l].iter().enumerate() {
+                ws.b_grads[l][o] += dzo;
+                let grads = &mut ws.w_grads[l][o * in_dim..(o + 1) * in_dim];
+                for (g, &xj) in grads.iter_mut().zip(input) {
+                    *g += dzo * xj;
+                }
+            }
+            // Propagate to the previous layer's output: the gradient
+            // w.r.t. input j folds `dz[o] * W[o][j]` over o in order,
+            // all inputs' folds advancing together row by row.
             if l > 0 {
-                delta = (0..in_dim)
-                    .map(|j| {
-                        dz.iter()
-                            .enumerate()
-                            .map(|(o, &dzo)| dzo * layer.weights[o][j])
-                            .sum()
-                    })
-                    .collect();
+                let (below, rest) = ws.dz.split_at_mut(l);
+                let delta = &mut below[l - 1];
+                delta.fill(fold_start());
+                for (row, &dzo) in layer.weights.chunks_exact(in_dim).zip(&rest[0]) {
+                    for (d, &w) in delta.iter_mut().zip(row) {
+                        *d += dzo * w;
+                    }
+                }
             }
         }
     }
 
     // Apply Adam updates.
-    for (l, layer) in layers.iter_mut().enumerate() {
-        let in_dim = layer.weights[0].len();
-        let mut flat: Vec<f64> = layer.weights.iter().flatten().copied().collect();
-        adams[l].0.step(&mut flat, &w_grads[l], lr);
-        for (o, row) in layer.weights.iter_mut().enumerate() {
-            row.copy_from_slice(&flat[o * in_dim..(o + 1) * in_dim]);
-        }
-        adams[l].1.step(&mut layer.biases, &b_grads[l], lr);
+    for ((layer, (w_adam, b_adam)), (w_grads, b_grads)) in layers
+        .iter_mut()
+        .zip(&mut ws.adams)
+        .zip(ws.w_grads.iter().zip(&ws.b_grads))
+    {
+        w_adam.step(&mut layer.weights, w_grads, lr);
+        b_adam.step(&mut layer.biases, b_grads, lr);
     }
 }
 
 impl Regressor for MlpRegressor {
     fn predict(&self, features: &[f64]) -> f64 {
         let mut x = self.standardizer.apply(features);
+        let mut y = Vec::new();
         for layer in &self.layers {
-            x = layer.forward(&x).1;
+            y.clear();
+            y.resize(layer.outputs(), 0.0);
+            layer.forward_into(&x, &mut y);
+            std::mem::swap(&mut x, &mut y);
         }
         x[0] * self.target_std + self.target_mean
     }
@@ -292,6 +348,42 @@ mod tests {
         let a = MlpRegressor::train(&d, &[4], 50, 0.01, &mut SimRng::seed(9)).unwrap();
         let b = MlpRegressor::train(&d, &[4], 50, 0.01, &mut SimRng::seed(9)).unwrap();
         assert_eq!(a.predict(&[3.0]), b.predict(&[3.0]));
+    }
+
+    /// Prediction bits recorded from the nested-`Vec` implementation
+    /// this flat, workspace-based one replaced. A 37-row set leaves a
+    /// short final mini-batch, and the two shapes cover the modeler's
+    /// production network (`[16, 16]`, 120 epochs) and a one-hidden-
+    /// layer net. Any change to the order of floating-point operations
+    /// in the forward, backward or Adam step shows up here.
+    #[test]
+    fn golden_prediction_bits() {
+        let mut d = Dataset::new();
+        for i in 0..37 {
+            let x = i as f64;
+            d.push(
+                vec![x * 0.3, x.sin(), (i % 7) as f64],
+                (x * 0.2).cos() * 3.0 + x * 0.05,
+            );
+        }
+        let deep = MlpRegressor::train(&d, &[16, 16], 120, 0.02, &mut SimRng::seed(42)).unwrap();
+        let shallow = MlpRegressor::train(&d, &[5], 7, 0.05, &mut SimRng::seed(7)).unwrap();
+        let probes = [
+            [0.0, 0.0, 0.0],
+            [1.5, -0.5, 3.0],
+            [10.0, 0.9, 6.0],
+            [-2.0, 2.0, 9.0],
+        ];
+        let expect: [(u64, u64); 4] = [
+            (0x40074d4b5720394f, 0x3fc6c29c60f7a888),
+            (0x3ff98000904c828e, 0x3fb6b7d52e970380),
+            (0x4012db64988647c4, 0x400a43c3e52613bc),
+            (0x400b83cd9cda1d96, 0x3f9cba36aba6fc00),
+        ];
+        for (p, &(d_bits, s_bits)) in probes.iter().zip(&expect) {
+            assert_eq!(deep.predict(p).to_bits(), d_bits, "[16, 16] at {p:?}");
+            assert_eq!(shallow.predict(p).to_bits(), s_bits, "[5] at {p:?}");
+        }
     }
 
     #[test]

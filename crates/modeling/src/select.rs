@@ -5,15 +5,21 @@
 //! runs k-fold cross validation over every [`RegressorKind`] and returns
 //! the winner trained on the full dataset.
 
+use std::sync::Arc;
+
 use simcore::SimRng;
 
 use crate::eval::{kfold_indices, mae};
 use crate::regressor::{Dataset, Regressor, RegressorKind};
 
 /// Outcome of model selection for one target metric.
+///
+/// Cloning shares the trained model: replicas of a trained system
+/// predict from the same weights without copying them.
+#[derive(Clone)]
 pub struct SelectionReport {
     /// The winning model, trained on the full dataset.
-    pub model: Box<dyn Regressor>,
+    pub model: Arc<dyn Regressor>,
     /// The winning kind.
     pub kind: RegressorKind,
     /// Cross-validation mean absolute error per candidate kind.
@@ -35,11 +41,11 @@ impl std::fmt::Debug for SelectionReport {
 /// Falls back to leave-none-out training (no CV) when the dataset is
 /// smaller than `folds`; in that case the first trainable kind wins.
 /// Returns `None` when no candidate can be trained at all.
-pub fn select_best_model(
-    data: &Dataset,
-    folds: usize,
-    rng: &mut SimRng,
-) -> Option<SelectionReport> {
+///
+/// `rng` is only ever forked (fork is keyed by the seed, not by stream
+/// position), so the result depends on the seed alone: selections for
+/// different targets can run concurrently from one shared generator.
+pub fn select_best_model(data: &Dataset, folds: usize, rng: &SimRng) -> Option<SelectionReport> {
     if data.is_empty() {
         return None;
     }
@@ -84,7 +90,7 @@ pub fn select_best_model(
 
     let model = best_kind.train(data, &mut rng.fork("final"))?;
     Some(SelectionReport {
-        model,
+        model: Arc::from(model),
         kind: best_kind,
         cv_errors,
     })
@@ -101,8 +107,8 @@ mod tests {
             let x = i as f64 * 0.5;
             d.push(vec![x, x * 0.1], 4.0 * x + 2.0);
         }
-        let mut rng = SimRng::seed(1);
-        let report = select_best_model(&d, 4, &mut rng).unwrap();
+        let rng = SimRng::seed(1);
+        let report = select_best_model(&d, 4, &rng).unwrap();
         // Whatever wins must predict the affine function well.
         let pred = report.model.predict(&[10.0, 1.0]);
         assert!(
@@ -121,7 +127,7 @@ mod tests {
             let x = rng.uniform(0.0, 10.0);
             d.push(vec![x], if x < 5.0 { 1.0 } else { 9.0 });
         }
-        let report = select_best_model(&d, 4, &mut rng).unwrap();
+        let report = select_best_model(&d, 4, &rng).unwrap();
         // The winner must capture the step; linear regression cannot.
         assert!(report.model.predict(&[1.0]) < 3.5);
         assert!(report.model.predict(&[9.0]) > 6.5);
@@ -133,16 +139,16 @@ mod tests {
         let mut d = Dataset::new();
         d.push(vec![1.0], 2.0);
         d.push(vec![2.0], 4.0);
-        let mut rng = SimRng::seed(3);
-        let report = select_best_model(&d, 5, &mut rng).unwrap();
+        let rng = SimRng::seed(3);
+        let report = select_best_model(&d, 5, &rng).unwrap();
         assert!(report.cv_errors.is_empty());
         let _ = report.model.predict(&[1.5]);
     }
 
     #[test]
     fn empty_dataset_rejected() {
-        let mut rng = SimRng::seed(4);
-        assert!(select_best_model(&Dataset::new(), 3, &mut rng).is_none());
+        let rng = SimRng::seed(4);
+        assert!(select_best_model(&Dataset::new(), 3, &rng).is_none());
     }
 
     #[test]
@@ -151,8 +157,8 @@ mod tests {
         for i in 0..50 {
             d.push(vec![i as f64, (i * i) as f64 * 0.01], (i % 5) as f64);
         }
-        let mut rng = SimRng::seed(5);
-        let report = select_best_model(&d, 5, &mut rng).unwrap();
+        let rng = SimRng::seed(5);
+        let report = select_best_model(&d, 5, &rng).unwrap();
         assert_eq!(report.cv_errors.len(), RegressorKind::ALL.len());
     }
 }

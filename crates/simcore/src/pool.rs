@@ -16,9 +16,16 @@
 //!   overridable with the `MUDI_THREADS` environment variable
 //!   (`MUDI_THREADS=1` forces serial execution in the calling thread).
 //!
+//! * **Not nested:** a fan-out called from inside a pool worker (an
+//!   experiment cell that trains a model, a cell that steps a sharded
+//!   engine) runs inline on that worker, so a sweep never holds more
+//!   than [`max_workers`] threads. Outputs do not depend on the worker
+//!   count, so running inline changes nothing but the schedule.
+//!
 //! Built on [`std::thread::scope`], so `f` may borrow from the caller's
 //! stack and no `'static` bounds are required.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -32,6 +39,35 @@ pub fn max_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+thread_local! {
+    /// Set for the lifetime of a pool worker thread.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a pool worker. A fan-out requested
+/// from a worker runs inline (see the module docs).
+fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
+/// Runs one item on a pool worker thread, marking the thread as a
+/// worker first. Pool threads are spawned per call and exit when the
+/// work runs out, so the flag is never cleared.
+fn as_worker<R>(body: impl FnOnce() -> R) -> R {
+    IN_WORKER.with(|w| w.set(true));
+    body()
+}
+
+/// The worker count a fan-out over `n` items actually uses: `requested`
+/// clamped to `[1, n]`, and 1 inside a pool worker.
+fn effective_workers(requested: usize, n: usize) -> usize {
+    if in_worker() {
+        1
+    } else {
+        requested.clamp(1, n)
+    }
 }
 
 /// Maps `f` over `items` on up to [`max_workers`] worker threads,
@@ -48,7 +84,8 @@ where
 
 /// [`scoped_map`] with an explicit worker count (tests pin 1/2/8 here
 /// without touching the process environment). `workers` is clamped to
-/// `[1, items.len()]`; `workers == 1` runs in the calling thread.
+/// `[1, items.len()]`; `workers == 1`, or a call from inside a pool
+/// worker, runs in the calling thread.
 pub fn scoped_map_workers<I, O, F>(items: Vec<I>, workers: usize, f: F) -> Vec<O>
 where
     I: Send,
@@ -59,7 +96,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = workers.clamp(1, n);
+    let workers = effective_workers(workers, n);
     if workers == 1 {
         // Serial fast path: same panic labelling, no thread machinery.
         return items
@@ -90,7 +127,7 @@ where
                     .expect("item slot lock")
                     .take()
                     .expect("each index is claimed exactly once");
-                match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                match catch_unwind(AssertUnwindSafe(|| as_worker(|| f(item)))) {
                     Ok(o) => *out[i].lock().expect("output slot lock") = Some(o),
                     Err(payload) => {
                         let msg = panic_message(payload.as_ref());
@@ -129,9 +166,10 @@ where
 /// * **Disjoint by construction:** each `&mut work[i]` is handed to
 ///   exactly one worker, so shard states (which may hold `!Sync`
 ///   interior-mutability memos) are never shared across threads.
-/// * **Serial fast path:** `workers <= 1` or a single item runs in the
-///   calling thread with no thread machinery and no allocation — the
-///   1-shard engine keeps its zero-allocation steady state.
+/// * **Serial fast path:** `workers <= 1`, a single item, or a call
+///   from inside a pool worker runs in the calling thread with no
+///   thread machinery and no allocation — the 1-shard engine keeps its
+///   zero-allocation steady state.
 /// * **Panic-propagating:** a panicking shard joins all workers and
 ///   re-panics in the caller labelled with the shard index.
 ///
@@ -147,7 +185,7 @@ where
     if n == 0 {
         return;
     }
-    let workers = workers.clamp(1, n);
+    let workers = effective_workers(workers, n);
     if workers == 1 {
         for (i, w) in work.iter_mut().enumerate() {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, w))) {
@@ -179,7 +217,7 @@ where
                     .expect("work slot lock")
                     .take()
                     .expect("each shard is claimed exactly once");
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, w))) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| as_worker(|| f(i, w)))) {
                     let msg = panic_message(payload.as_ref());
                     let mut slot = failure.lock().expect("failure slot lock");
                     if slot.as_ref().is_none_or(|&(j, _)| i < j) {
@@ -308,6 +346,48 @@ mod tests {
                 "workers={workers}: {msg}"
             );
         }
+    }
+
+    /// A fan-out called from a worker runs inline on that worker. The
+    /// barrier holds every outer item until all `outer` workers are
+    /// alive at once, so each outer item owns a distinct thread while
+    /// its nested calls (which request 8 workers each) run; the thread
+    /// count stays at the outer pool's, which is `max_workers()`
+    /// wherever that allows a pool at all.
+    #[test]
+    fn nested_fan_out_stays_on_the_outer_workers() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        let outer_workers = max_workers().max(2);
+        let barrier = Barrier::new(outer_workers);
+        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let record = || {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        };
+        let outer = scoped_map_workers((0..outer_workers as u64).collect(), outer_workers, |x| {
+            barrier.wait();
+            assert!(in_worker());
+            let me = std::thread::current().id();
+            let inner = scoped_map_workers((0..16u64).collect(), 8, |y| {
+                record();
+                assert_eq!(std::thread::current().id(), me);
+                x * 100 + y
+            });
+            let mut work = vec![0u64; 16];
+            scoped_for_each_mut(&mut work, 8, |i, w| {
+                record();
+                assert_eq!(std::thread::current().id(), me);
+                *w = i as u64;
+            });
+            inner.iter().sum::<u64>() + work.iter().sum::<u64>()
+        });
+        let expect: Vec<u64> = (0..outer_workers as u64)
+            .map(|x| (0..16).map(|y| x * 100 + y).sum::<u64>() + (0..16).sum::<u64>())
+            .collect();
+        assert_eq!(outer, expect);
+        let threads = seen.into_inner().unwrap().len();
+        assert_eq!(threads, outer_workers, "nested calls spawned extra threads");
+        assert!(!in_worker(), "the caller is not a worker");
     }
 
     #[test]
