@@ -7,7 +7,7 @@
 //! hence the recommendation to multiplex one inference + one training.
 
 use bench::{banner, compare, physical_config, trace_report};
-use cluster::experiments::end_to_end_traced;
+use cluster::experiments::end_to_end;
 use cluster::report::{pct, Table};
 use cluster::systems::SystemKind;
 
@@ -29,7 +29,7 @@ fn main() {
         let (mut cfg, iter_scale) = physical_config(system);
         // More queueing pressure makes the extra slots matter.
         cfg.jobs = (cfg.jobs * 3) / 2;
-        let (r, trace) = end_to_end_traced(cfg, iter_scale);
+        let (r, trace) = end_to_end(cfg, iter_scale);
         trace_report(system.name(), &trace);
         table.row(vec![
             system.name().to_string(),

@@ -7,7 +7,7 @@
 //! ≤31 ms (mean 19 ms) in the simulated cluster.
 
 use bench::{banner, compare, physical_config, simulated_config, trace_report};
-use cluster::experiments::end_to_end_traced;
+use cluster::experiments::end_to_end;
 use cluster::report::Table;
 use cluster::systems::SystemKind;
 use simcore::Cdf;
@@ -23,7 +23,7 @@ fn main() {
         } else {
             physical_config(SystemKind::Mudi)
         };
-        let (r, trace) = end_to_end_traced(cfg, iter_scale);
+        let (r, trace) = end_to_end(cfg, iter_scale);
         trace_report(label, &trace);
 
         println!("\n--- {label} cluster ---");

@@ -65,7 +65,7 @@ fn run_cell(system: SystemKind, load: f64, horizon_secs: f64) -> Cell {
         .load_multiplier(load)
         .max_sim_secs(horizon_secs)
         .build();
-    let r = ClusterEngine::new(cfg).run_scaled(0.01);
+    let r = ClusterEngine::new(cfg).run(0.01).0;
     Cell {
         system: system.name(),
         load,

@@ -33,6 +33,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use bench::ledger;
 use cluster::engine::{ClusterConfig, ClusterSession};
 use cluster::systems::SystemKind;
 use simcore::SimTime;
@@ -178,64 +179,25 @@ fn run_check() {
     println!("perf_kernel --check: all shape fingerprints match\n{actual}");
 }
 
-/// Parses the committed ledger's `(shape, steps_per_sec)` pairs. The
-/// ledger is written by this binary, so the format is fixed; a parse
-/// failure just disables the gate.
-fn parse_ledger(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(shape) = line
-            .split("\"shape\": \"")
-            .nth(1)
-            .and_then(|s| s.split('"').next())
-        else {
-            continue;
-        };
-        let Some(sps) = line
-            .split("\"steps_per_sec\": ")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.trim().parse::<f64>().ok())
-        else {
-            continue;
-        };
-        out.push((shape.to_string(), sps));
-    }
-    out
+/// One committed ledger row's gated fields: `(shape, steps_per_sec)`.
+fn reference_row(line: &str) -> Option<(String, f64)> {
+    Some((
+        ledger::text(line, "shape")?.to_string(),
+        ledger::number(line, "steps_per_sec")?,
+    ))
 }
 
-/// `--gate`: fail on a >20 % steps/sec regression vs the committed
-/// ledger (read before this run overwrites it).
-fn run_gate(reference: &[(String, f64)], fresh: &[Measurement]) {
-    let mut failures = Vec::new();
+/// `--gate`: fail on a >20 % steps/sec regression of any shape vs the
+/// committed ledger (read before this run overwrites it).
+fn gate_shapes(reference: &[(String, f64)], fresh: &[Measurement]) {
+    let mut gate = ledger::Gate::new("perf_kernel");
     for m in fresh {
-        let Some((_, was)) = reference.iter().find(|(s, _)| s == m.shape) else {
-            continue;
-        };
-        let now = m.steps_per_sec();
-        if now < was * 0.80 {
-            failures.push(format!(
-                "{}: {now:.0} steps/s vs committed {was:.0} ({:.0}% of reference)",
-                m.shape,
-                100.0 * now / was
-            ));
+        match reference.iter().find(|(s, _)| s == m.shape) {
+            Some(&(_, was)) => gate.check(m.shape, "steps/s", m.steps_per_sec(), was),
+            None => gate.ungated(m.shape),
         }
     }
-    if failures.is_empty() {
-        println!("bench gate: no shape regressed >20% from the committed ledger");
-    } else if simcore::env::flag("MUDI_BENCH_NO_GATE") {
-        println!("bench gate: regressions ignored (MUDI_BENCH_NO_GATE=1):");
-        for f in &failures {
-            println!("  {f}");
-        }
-    } else {
-        eprintln!("bench gate: steps/sec regressed >20% from the committed ledger:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        eprintln!("(set MUDI_BENCH_NO_GATE=1 to bypass on a noisy runner)");
-        std::process::exit(1);
-    }
+    gate.finish();
 }
 
 fn main() {
@@ -246,7 +208,7 @@ fn main() {
     }
     let gate = args.iter().any(|a| a == "--gate");
     let reference = if gate {
-        parse_ledger(&std::fs::read_to_string(LEDGER_PATH).unwrap_or_default())
+        ledger::read(LEDGER_PATH, reference_row)
     } else {
         Vec::new()
     };
@@ -288,9 +250,35 @@ fn main() {
     json.push('\n');
 
     if gate {
-        run_gate(&reference, &shapes);
+        gate_shapes(&reference, &shapes);
     }
 
     std::fs::write(LEDGER_PATH, &json).expect("write BENCH_perf_kernel.json");
     println!("\nledger written to BENCH_perf_kernel.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every row of the committed ledger parses; a parse failure would
+    /// leave that shape ungated.
+    #[test]
+    fn committed_ledger_parses_every_shape() {
+        let text = std::fs::read_to_string(LEDGER_PATH).expect("committed ledger");
+        let row_lines = text.lines().filter(|l| l.contains("\"shape\": ")).count();
+        let rows = ledger::read(LEDGER_PATH, reference_row);
+        assert_eq!(rows.len(), row_lines);
+        for shape in [
+            "batch-tiny-mudi-5day",
+            "batch-physical-mudi-5day",
+            "session-tiny-1day-5min-steps",
+            "batch-physical-mudi-5day-4shard",
+        ] {
+            assert!(
+                rows.iter().any(|(s, sps)| s == shape && *sps > 0.0),
+                "{shape} missing from the parsed ledger"
+            );
+        }
+    }
 }

@@ -9,6 +9,8 @@
 use cluster::engine::ClusterConfig;
 use cluster::systems::SystemKind;
 
+pub mod ledger;
+
 /// Whether full paper-scale runs were requested.
 pub fn full_scale() -> bool {
     simcore::env::flag("MUDI_FULL_SCALE")

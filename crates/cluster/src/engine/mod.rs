@@ -44,8 +44,8 @@ use std::time::Instant;
 
 use mudi::{CircuitBreaker, RetuneGuard};
 use resilience::{FaultSchedule, RecoveryPolicy};
-use simcore::{Topology, TraceBus, TraceConfig, TraceSummary};
-use workloads::{GroundTruth, ServiceId, TaskId};
+use simcore::{Topology, TraceBus, TraceConfig};
+use workloads::GroundTruth;
 
 use crate::metrics::ExperimentResult;
 
@@ -59,7 +59,7 @@ pub use session::{
     ClusterSession, GenInferOutcome, InferOutcome, LiveFault, ScaleOutcome, ServiceSlo,
     SessionError, TokenVerdict,
 };
-pub use state::{striped_service_assignment, PlacementLog};
+pub use state::striped_service_assignment;
 
 /// The cluster engine: a thin facade over the staged kernel.
 pub struct ClusterEngine {
@@ -114,58 +114,12 @@ impl ClusterEngine {
         &self.st.topo
     }
 
-    /// Runs the experiment to completion and returns the results.
-    pub fn run(self) -> ExperimentResult {
-        self.run_scaled(1.0)
-    }
-
-    /// Runs with every job's iteration count multiplied by
-    /// `iteration_scale` (tests use ≪1 to finish quickly).
-    pub fn run_scaled(self, iteration_scale: f64) -> ExperimentResult {
-        self.run_traced(iteration_scale).0
-    }
-
-    /// The single run entry point: executes to completion and returns
-    /// the results together with the trace-bus summary (all-zero when
-    /// tracing is disabled). `run`, `run_scaled`, and `run_with_log`
-    /// are thin wrappers over this.
-    pub fn run_traced(self, iteration_scale: f64) -> (ExperimentResult, TraceSummary) {
-        let (result, bus) = self.execute(iteration_scale);
-        (result, bus.summary())
-    }
-
-    /// Like [`ClusterEngine::run_scaled`], additionally returning the
-    /// placement log `(task, chosen device, candidates)` for the §5.4
-    /// optimality analysis. Forces placement retention on the trace bus
-    /// and reconstructs the historical log shape from the structured
-    /// `Placement` events.
-    pub fn run_with_log(mut self, iteration_scale: f64) -> (ExperimentResult, PlacementLog) {
-        let mut cfg = self.st.trace.config();
-        cfg.enabled = true;
-        cfg.keep_placements = true;
-        self.st.trace = TraceBus::new(cfg);
-        let (result, bus) = self.execute(iteration_scale);
-        let log = bus
-            .placements()
-            .iter()
-            .filter_map(|te| match &te.event {
-                simcore::SimEvent::Placement {
-                    task,
-                    device,
-                    candidates,
-                } => Some((
-                    TaskId(*task),
-                    *device,
-                    candidates.iter().map(|&(d, s)| (d, ServiceId(s))).collect(),
-                )),
-                _ => None,
-            })
-            .collect();
-        (result, log)
-    }
-
-    /// The internal driver all public entry points funnel through.
-    fn execute(mut self, iteration_scale: f64) -> (ExperimentResult, TraceBus) {
+    /// Runs the experiment to completion with every job's iteration
+    /// count multiplied by `iteration_scale` (tests use ≪1 to finish
+    /// quickly) and returns the results together with the run's trace
+    /// bus (disabled, and empty, unless tracing was configured). Callers
+    /// that only need the result take `.0`.
+    pub fn run(mut self, iteration_scale: f64) -> (ExperimentResult, TraceBus) {
         self.st.iter_scale = iteration_scale.clamp(1e-6, 1.0);
         let wall_start = Instant::now();
         Admission.submit_jobs(&mut self.st);

@@ -212,11 +212,6 @@ impl EventLane {
     pub fn fired(&self) -> u64 {
         self.queue.fired()
     }
-
-    /// Pending events on this lane.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// The global event queue: shared-state events only (arrivals,
@@ -249,11 +244,6 @@ impl ShardedEvents {
     /// Global events fired.
     pub fn fired(&self) -> u64 {
         self.queue.fired()
-    }
-
-    /// Pending global events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Whether the global queue is drained.

@@ -694,11 +694,6 @@ impl SimState {
         self.events.fired() + self.lanes.iter().map(|l| l.events.fired()).sum::<u64>()
     }
 
-    /// Total pending events (global + every lane).
-    pub fn pending_events(&self) -> usize {
-        self.events.len() + self.lanes.iter().map(|l| l.events.len()).sum::<usize>()
-    }
-
     /// Firing time of the next event anywhere (global or lane).
     pub fn next_event_time(&self) -> Option<SimTime> {
         let mut best = self.events.peek_time();
@@ -1023,9 +1018,3 @@ pub fn striped_service_assignment(
     }
     out
 }
-
-/// The per-placement log retained for the §5.4 optimality analysis:
-/// the task, the chosen device, and the candidate `(device, service)`
-/// set the selector saw. Reconstructed from the trace bus's placement
-/// events — the structured replacement for the old ad-hoc log.
-pub type PlacementLog = Vec<(workloads::TaskId, usize, Vec<(usize, ServiceId)>)>;

@@ -96,8 +96,6 @@ impl Stepper {
     /// wall-clock cost; job submission and initial seeding must already
     /// have happened.
     pub fn run(&self, st: &mut SimState, wall_start: Instant) -> ExperimentResult {
-        let debug = simcore::env::is_set("MUDI_DEBUG_EVENTS");
-        let mut dbg_next = 200_000u64;
         let cap = SimTime::from_secs(st.config.max_sim_secs);
         let mut last_finish = SimTime::ZERO;
         while let Some(next) = st.next_event_time() {
@@ -107,20 +105,6 @@ impl Stepper {
             let t1 = st.events.epoch_end_after(next).min(cap);
             if self.run_window(st, t1, &mut last_finish, true) {
                 break; // Every job completed.
-            }
-            if debug && st.fired() >= dbg_next {
-                dbg_next = st.fired() + 200_000;
-                eprintln!(
-                    "[engine] events={} t<={:.3}s pending={} done={}/{}",
-                    st.fired(),
-                    t1.as_secs(),
-                    st.pending_events(),
-                    st.jobs
-                        .iter()
-                        .filter(|j| j.state == crate::job::JobState::Completed)
-                        .count(),
-                    st.jobs.len(),
-                );
             }
         }
 

@@ -70,7 +70,7 @@ fn violation_probability_slo_below_floor_latency_saturates() {
 #[test]
 fn tiny_random_cluster_completes_all_jobs() {
     let engine = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 1));
-    let result = engine.run_scaled(0.002);
+    let result = engine.run(0.002).0;
     assert_eq!(result.jobs_completed, result.jobs_submitted);
     assert!(result.makespan_secs > 0.0);
     assert!(result.ct.count() > 0);
@@ -81,15 +81,19 @@ fn tiny_random_cluster_completes_all_jobs() {
 #[test]
 fn tiny_gslice_cluster_completes() {
     let engine = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Gslice, 2));
-    let result = engine.run_scaled(0.002);
+    let result = engine.run(0.002).0;
     assert_eq!(result.jobs_completed, result.jobs_submitted);
     assert!(result.mean_ct_hours() > 0.0);
 }
 
 #[test]
 fn deterministic_given_seed() {
-    let a = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 7)).run_scaled(0.002);
-    let b = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 7)).run_scaled(0.002);
+    let a = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 7))
+        .run(0.002)
+        .0;
+    let b = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Random, 7))
+        .run(0.002)
+        .0;
     assert_eq!(a.jobs_completed, b.jobs_completed);
     assert!((a.makespan_secs - b.makespan_secs).abs() < 1e-6);
     assert!((a.overall_violation_rate() - b.overall_violation_rate()).abs() < 1e-12);
@@ -99,10 +103,13 @@ fn deterministic_given_seed() {
 fn tracing_does_not_perturb_the_run() {
     // The trace bus is pure observation: enabling it (even with the
     // unbounded placement log) must leave every result bit-identical.
-    let base = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Mudi, 7)).run_scaled(0.002);
+    let base = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Mudi, 7))
+        .run(0.002)
+        .0;
     let mut engine = ClusterEngine::new(ClusterConfig::tiny(SystemKind::Mudi, 7));
     engine.set_trace_config(simcore::TraceConfig::with_placement_log());
-    let (traced, summary) = engine.run_traced(0.002);
+    let (traced, bus) = engine.run(0.002);
+    let summary = bus.summary();
     assert!(summary.emitted() > 0, "tracing should observe events");
     assert_eq!(base.jobs_completed, traced.jobs_completed);
     assert_eq!(
@@ -125,7 +132,8 @@ fn trace_counters_aggregate_engine_activity() {
     let cfg = ClusterConfig::tiny(SystemKind::Mudi, 17).with_faults(FaultProfile::scaled(50.0));
     let mut engine = ClusterEngine::new(cfg);
     engine.set_trace_config(simcore::TraceConfig::enabled());
-    let (result, summary) = engine.run_traced(0.002);
+    let (result, bus) = engine.run(0.002);
+    let summary = bus.summary();
 
     // Every fired schedule entry emits exactly one FaultApplied; every
     // *applied* fault is a fired entry, so the counter dominates the
@@ -167,7 +175,8 @@ fn single_failure_trace_matches_fault_metrics() {
         ..RecoveryPolicy::standard()
     });
     engine.set_trace_config(simcore::TraceConfig::enabled());
-    let (result, summary) = engine.run_traced(0.002);
+    let (result, bus) = engine.run(0.002);
+    let summary = bus.summary();
     assert_eq!(result.faults.device_failures, 1);
     assert_eq!(summary.count(SimEventKind::FaultApplied), 1);
     assert_eq!(
@@ -177,19 +186,27 @@ fn single_failure_trace_matches_fault_metrics() {
 }
 
 #[test]
-fn run_with_log_reconstructs_placements_from_trace() {
+fn placement_log_retains_every_placement() {
     let mut cfg = ClusterConfig::tiny(SystemKind::Random, 9);
     cfg.jobs = 8;
-    let (result, log) = ClusterEngine::new(cfg).run_with_log(0.002);
+    let mut engine = ClusterEngine::new(cfg);
+    engine.set_trace_config(simcore::TraceConfig::with_placement_log());
+    let (result, bus) = engine.run(0.002);
     assert!(result.jobs_completed > 0);
+    let log = bus.placements();
+    assert_eq!(log.len() as u64, bus.count(SimEventKind::Placement));
     assert!(
         log.len() >= result.jobs_completed,
         "every completed job was placed at least once"
     );
-    for (task, device, candidates) in &log {
+    for traced in log {
+        let simcore::SimEvent::Placement {
+            device, candidates, ..
+        } = &traced.event
+        else {
+            panic!("non-placement event in the placement log");
+        };
         assert!(candidates.iter().any(|&(d, _)| d == *device));
-        assert!(!candidates.is_empty());
-        let _ = task;
     }
 }
 
@@ -225,7 +242,7 @@ fn waiting_time_appears_under_contention() {
     let mut cfg = ClusterConfig::tiny(SystemKind::Random, 3);
     cfg.devices = 2;
     cfg.jobs = 12;
-    let result = ClusterEngine::new(cfg).run_scaled(0.002);
+    let result = ClusterEngine::new(cfg).run(0.002).0;
     assert_eq!(result.jobs_completed, 12);
     assert!(
         result.waiting.max().unwrap_or(0.0) > 0.0,
@@ -238,7 +255,7 @@ fn faulty_run_is_deterministic() {
     let run = || {
         let cfg =
             ClusterConfig::tiny(SystemKind::Random, 17).with_faults(FaultProfile::scaled(50.0));
-        ClusterEngine::new(cfg).run_scaled(0.002)
+        ClusterEngine::new(cfg).run(0.002).0
     };
     let a = run();
     let b = run();
@@ -261,7 +278,7 @@ fn faulty_run_is_deterministic() {
 #[test]
 fn jobs_complete_under_faults() {
     let cfg = ClusterConfig::tiny(SystemKind::Mudi, 23).with_faults(FaultProfile::scaled(25.0));
-    let result = ClusterEngine::new(cfg).run_scaled(0.002);
+    let result = ClusterEngine::new(cfg).run(0.002).0;
     assert_eq!(result.jobs_completed, result.jobs_submitted);
     assert!(result.useful_iterations > 0.0);
     // Goodput only counts retained progress.
@@ -293,7 +310,7 @@ fn one_failure_run(failover: bool) -> ExperimentResult {
         failover_inference: failover,
         ..RecoveryPolicy::standard()
     });
-    engine.run_scaled(0.002)
+    engine.run(0.002).0
 }
 
 #[test]
@@ -345,7 +362,7 @@ fn crash_rollback_loses_at_most_one_checkpoint_period() {
     )]));
     let period = SimDuration::from_secs(120.0);
     engine.set_recovery_policy(RecoveryPolicy::with_checkpoint_period(period));
-    let r = engine.run_scaled(0.002);
+    let r = engine.run(0.002).0;
     if r.faults.process_crashes == 0 {
         return; // Device 0 had no resident at fire time; nothing to check.
     }
@@ -495,7 +512,7 @@ fn rack_blast_run(pool: usize) -> ExperimentResult {
             })
             .collect(),
     ));
-    engine.run_scaled(0.002)
+    engine.run(0.002).0
 }
 
 #[test]
@@ -567,7 +584,7 @@ fn young_daly_period_raises_checkpoint_cadence_under_heavy_faults() {
             checkpoint_period: period,
             ..RecoveryPolicy::standard()
         });
-        engine.run_scaled(0.002)
+        engine.run(0.002).0
     };
     let fixed = run(CheckpointPeriod::Fixed(SimDuration::from_mins(10.0)));
     let adaptive = run(CheckpointPeriod::YoungDaly);
@@ -590,7 +607,7 @@ fn load_multiplier_raises_violations_for_adaptive_system() {
         let mut cfg = ClusterConfig::tiny(SystemKind::Gslice, 5);
         cfg.jobs = 10;
         cfg.load_multiplier = mult;
-        ClusterEngine::new(cfg).run_scaled(0.002)
+        ClusterEngine::new(cfg).run(0.002).0
     };
     let base = run(1.0);
     let heavy = run(4.0);

@@ -7,72 +7,46 @@
 use std::collections::HashMap;
 
 use gpu_sim::{DeviceId, GpuDevice, InferenceInstance, ResidentId, TrainingProcess};
-use simcore::{SimRng, SimTime};
+use simcore::{SimEvent, SimRng, SimTime, TraceConfig};
 use workloads::perf::DEVICE_MEMORY_GB;
-use workloads::{BurstSchedule, ColoWorkload, GroundTruth, ServiceId, Zoo};
+use workloads::{BurstSchedule, ColoWorkload, GroundTruth, ServiceId, TaskId, Zoo};
 
 use crate::engine::{violation_probability, ClusterConfig, ClusterEngine};
 use crate::metrics::ExperimentResult;
 use crate::systems::{build_system, DeviceView, Multiplexer, Optimal, SystemKind};
 
-/// Runs one end-to-end experiment. `wall_clock_secs` covers the whole
-/// cell — engine construction (ground-truth fitting) plus the event
-/// loop — so pooled fan-outs account their per-cell cost correctly.
-pub fn end_to_end(config: ClusterConfig, iteration_scale: f64) -> ExperimentResult {
-    end_to_end_traced(config, iteration_scale).0
-}
-
-/// [`end_to_end`] additionally returning the run's trace-bus summary
-/// (all zeros unless tracing is on — `MUDI_TRACE=1` or an injected
-/// [`simcore::TraceConfig`]).
-pub fn end_to_end_traced(
+/// Runs one end-to-end experiment, returning the result and the run's
+/// trace-bus summary (all zeros unless tracing is on — `MUDI_TRACE=1`
+/// or an injected [`simcore::TraceConfig`]). `wall_clock_secs` covers
+/// the whole cell — engine construction (ground-truth fitting) plus
+/// the event loop — so pooled fan-outs account their per-cell cost
+/// correctly.
+pub fn end_to_end(
     config: ClusterConfig,
     iteration_scale: f64,
 ) -> (ExperimentResult, simcore::TraceSummary) {
     let started = std::time::Instant::now();
-    let (mut result, trace) = ClusterEngine::new(config).run_traced(iteration_scale);
+    let (mut result, bus) = ClusterEngine::new(config).run(iteration_scale);
     result.wall_clock_secs = started.elapsed().as_secs_f64();
-    (result, trace)
+    (result, bus.summary())
 }
 
 /// Runs many independent experiment cells through the scoped worker
-/// pool ([`simcore::pool`]), one `(config, iteration_scale)` per cell.
-/// Each cell owns its seed and its `SimRng` streams, so results are
-/// bit-for-bit identical to running the cells serially in order.
-pub fn end_to_end_many(cells: Vec<(ClusterConfig, f64)>) -> Vec<ExperimentResult> {
-    end_to_end_many_workers(cells, simcore::pool::max_workers())
+/// pool ([`simcore::pool`]) with `workers` threads, one
+/// `(config, iteration_scale)` per cell. Each cell owns its seed and
+/// its `SimRng` streams, so results are bit-for-bit identical to
+/// running the cells serially in order at any worker count.
+pub fn end_to_end_many(cells: Vec<(ClusterConfig, f64)>, workers: usize) -> Vec<ExperimentResult> {
+    simcore::pool::scoped_map_workers(cells, workers, |(cfg, scale)| end_to_end(cfg, scale).0)
 }
 
-/// [`end_to_end_many`] with an explicit worker count (the equivalence
-/// tests pin 1/2/8 without touching `MUDI_THREADS`).
-pub fn end_to_end_many_workers(
-    cells: Vec<(ClusterConfig, f64)>,
-    workers: usize,
-) -> Vec<ExperimentResult> {
-    simcore::pool::scoped_map_workers(cells, workers, |(cfg, scale)| end_to_end(cfg, scale))
-}
-
-/// Multi-seed end-to-end: runs `base` once per seed, fanned out across
-/// cores, for confidence intervals over the paper's headline numbers.
-pub fn seed_sweep(
-    seeds: &[u64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(u64, ExperimentResult)> {
-    let cells = seeds
-        .iter()
-        .map(|&seed| {
-            let mut cfg = base.clone();
-            cfg.seed = seed;
-            (cfg, iteration_scale)
-        })
-        .collect();
-    seeds.iter().copied().zip(end_to_end_many(cells)).collect()
-}
-
-/// The per-rate cell configurations a failure sweep runs. Public so
-/// drivers sweeping several systems can flatten all (system × rate)
-/// cells into one [`end_to_end_many`] fan-out.
+/// Fig. 19 (extension): the per-rate cells of a failure sweep —
+/// violation rate and goodput under injected faults. Runs `base` at
+/// each fault-rate multiplier (0 = fault-free) with the standard
+/// recovery stack; every system replays the same per-seed fault
+/// schedule, so rows are comparable across systems. Drivers sweeping
+/// several systems flatten all (system × rate) cells into one
+/// [`end_to_end_many`] fan-out.
 pub fn failure_cells(
     system: SystemKind,
     seed: u64,
@@ -91,67 +65,6 @@ pub fn failure_cells(
             }
             (cfg, iteration_scale)
         })
-        .collect()
-}
-
-/// Fig. 19 (extension): violation rate and goodput under injected
-/// faults. Runs `base` at each fault-rate multiplier (0 = fault-free)
-/// with the standard recovery stack; every system replays the same
-/// per-seed fault schedule, so rows are comparable across systems.
-/// Cells fan out across cores; output is identical to
-/// [`failure_sweep_serial`].
-pub fn failure_sweep(
-    system: SystemKind,
-    seed: u64,
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    failure_sweep_workers(
-        system,
-        seed,
-        rates,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`failure_sweep`] with an explicit worker count.
-pub fn failure_sweep_workers(
-    system: SystemKind,
-    seed: u64,
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(f64, ExperimentResult)> {
-    let cells = failure_cells(system, seed, rates, &base, iteration_scale);
-    rates
-        .iter()
-        .copied()
-        .zip(end_to_end_many_workers(cells, workers))
-        .collect()
-}
-
-/// Reference implementation of [`failure_sweep`]: a plain serial loop
-/// with no pool involvement, kept as the ground truth the equivalence
-/// tests compare the parallel path against.
-pub fn failure_sweep_serial(
-    system: SystemKind,
-    seed: u64,
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    rates
-        .iter()
-        .copied()
-        .zip(
-            failure_cells(system, seed, rates, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
         .collect()
 }
 
@@ -179,9 +92,12 @@ impl FaultScope {
     }
 }
 
-/// The per-(scope, rate) cell configurations a correlated-failure
-/// sweep runs. Public so drivers sweeping several systems can flatten
-/// all (system × scope × rate) cells into one [`end_to_end_many`].
+/// Fig. 20: the per-(scope, rate) cells of a correlated-failure sweep
+/// — violation rate, goodput, and total-outage accounting under
+/// correlated blast radii, with the standard recovery stack. The
+/// schedule replays per seed, so rows are comparable across systems.
+/// Cells are ordered scope-major; drivers flatten all (system × scope
+/// × rate) cells into one [`end_to_end_many`].
 pub fn correlated_failure_cells(
     system: SystemKind,
     seed: u64,
@@ -213,83 +129,14 @@ pub fn correlated_failure_cells(
     cells
 }
 
-/// Fig. 20: violation rate, goodput, and total-outage accounting under
-/// correlated blast radii. Sweeps scope × rate with the standard
-/// recovery stack; the schedule replays per seed, so rows are
-/// comparable across systems. Cells fan out across cores; output is
-/// identical to [`correlated_failure_sweep_serial`].
-pub fn correlated_failure_sweep(
-    system: SystemKind,
-    seed: u64,
-    scopes: &[FaultScope],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(FaultScope, f64, ExperimentResult)> {
-    correlated_failure_sweep_workers(
-        system,
-        seed,
-        scopes,
-        rates,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`correlated_failure_sweep`] with an explicit worker count.
-pub fn correlated_failure_sweep_workers(
-    system: SystemKind,
-    seed: u64,
-    scopes: &[FaultScope],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(FaultScope, f64, ExperimentResult)> {
-    let cells = correlated_failure_cells(system, seed, scopes, rates, &base, iteration_scale);
-    let keys: Vec<(FaultScope, f64)> = scopes
-        .iter()
-        .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
-        .collect();
-    keys.into_iter()
-        .zip(end_to_end_many_workers(cells, workers))
-        .map(|((s, r), res)| (s, r, res))
-        .collect()
-}
-
-/// Reference serial implementation of [`correlated_failure_sweep`]: a
-/// plain loop with no pool involvement, the ground truth the
-/// equivalence tests compare the parallel path against.
-pub fn correlated_failure_sweep_serial(
-    system: SystemKind,
-    seed: u64,
-    scopes: &[FaultScope],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(FaultScope, f64, ExperimentResult)> {
-    let keys: Vec<(FaultScope, f64)> = scopes
-        .iter()
-        .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
-        .collect();
-    keys.into_iter()
-        .zip(
-            correlated_failure_cells(system, seed, scopes, rates, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
-        .map(|((s, r), res)| (s, r, res))
-        .collect()
-}
-
-/// The per-(pool, rate) cell configurations a warm-standby sweep runs:
+/// Fig. 21: the per-(pool, rate) cells of a warm-standby sweep —
 /// rack-correlated faults at `rate`, standard recovery plus a standby
-/// pool of the given size. Pool size 0 keeps [`StandbyPolicy`]
-/// disabled, so those cells replay the plain rack-correlated path
-/// byte-for-byte. Public so drivers sweeping several systems can
-/// flatten all (system × pool × rate) cells into one
-/// [`end_to_end_many`].
+/// pool of the given size — for the pool's cost/benefit ledger
+/// (violation-seconds avoided, failover-latency p99, reserved
+/// GPU%-seconds). Pool size 0 keeps [`StandbyPolicy`] disabled, so
+/// those cells replay the plain rack-correlated path byte-for-byte.
+/// Cells are ordered pool-major; drivers flatten all (system × pool ×
+/// rate) cells into one [`end_to_end_many`].
 ///
 /// [`StandbyPolicy`]: resilience::StandbyPolicy
 pub fn warm_standby_cells(
@@ -318,78 +165,9 @@ pub fn warm_standby_cells(
     cells
 }
 
-/// Fig. 21: the warm-standby pool's cost/benefit ledger. Sweeps pool
-/// size × fault rate under rack-correlated faults and reports, per
-/// cell, the violation-seconds avoided, the bounded failover-latency
-/// p99, and the standing reserved-GPU%-seconds cost. Cells fan out
-/// across cores; output is identical to [`warm_standby_sweep_serial`].
-pub fn warm_standby_sweep(
-    system: SystemKind,
-    seed: u64,
-    pools: &[usize],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(usize, f64, ExperimentResult)> {
-    warm_standby_sweep_workers(
-        system,
-        seed,
-        pools,
-        rates,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`warm_standby_sweep`] with an explicit worker count.
-pub fn warm_standby_sweep_workers(
-    system: SystemKind,
-    seed: u64,
-    pools: &[usize],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(usize, f64, ExperimentResult)> {
-    let cells = warm_standby_cells(system, seed, pools, rates, &base, iteration_scale);
-    let keys: Vec<(usize, f64)> = pools
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    keys.into_iter()
-        .zip(end_to_end_many_workers(cells, workers))
-        .map(|((p, r), res)| (p, r, res))
-        .collect()
-}
-
-/// Reference serial implementation of [`warm_standby_sweep`]: a plain
-/// loop with no pool involvement, the ground truth the equivalence
-/// tests compare the parallel path against.
-pub fn warm_standby_sweep_serial(
-    system: SystemKind,
-    seed: u64,
-    pools: &[usize],
-    rates: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(usize, f64, ExperimentResult)> {
-    let keys: Vec<(usize, f64)> = pools
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    keys.into_iter()
-        .zip(
-            warm_standby_cells(system, seed, pools, rates, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
-        .map(|((p, r), res)| (p, r, res))
-        .collect()
-}
-
-/// The per-multiplier cell configurations a load sweep runs. Public for
-/// the same flattening reason as [`failure_cells`].
+/// Fig. 15: the per-multiplier cells of a load sweep — violation rate
+/// and CT under 1×–4× load. Public for the same flattening reason as
+/// [`failure_cells`].
 pub fn load_cells(
     system: SystemKind,
     seed: u64,
@@ -409,67 +187,12 @@ pub fn load_cells(
         .collect()
 }
 
-/// Fig. 15: violation rate and CT under 1×–4× load. Cells fan out
-/// across cores; output is identical to [`load_sensitivity_serial`].
-pub fn load_sensitivity(
-    system: SystemKind,
-    seed: u64,
-    multipliers: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    load_sensitivity_workers(
-        system,
-        seed,
-        multipliers,
-        base,
-        iteration_scale,
-        simcore::pool::max_workers(),
-    )
-}
-
-/// [`load_sensitivity`] with an explicit worker count.
-pub fn load_sensitivity_workers(
-    system: SystemKind,
-    seed: u64,
-    multipliers: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-    workers: usize,
-) -> Vec<(f64, ExperimentResult)> {
-    let cells = load_cells(system, seed, multipliers, &base, iteration_scale);
-    multipliers
-        .iter()
-        .copied()
-        .zip(end_to_end_many_workers(cells, workers))
-        .collect()
-}
-
-/// Reference serial implementation of [`load_sensitivity`].
-pub fn load_sensitivity_serial(
-    system: SystemKind,
-    seed: u64,
-    multipliers: &[f64],
-    base: ClusterConfig,
-    iteration_scale: f64,
-) -> Vec<(f64, ExperimentResult)> {
-    multipliers
-        .iter()
-        .copied()
-        .zip(
-            load_cells(system, seed, multipliers, &base, iteration_scale)
-                .into_iter()
-                .map(|(cfg, scale)| end_to_end(cfg, scale)),
-        )
-        .collect()
-}
-
 /// One service's cell of the Fig. 14 probe. Self-contained — its own
 /// ground truth, freshly built system, and per-service RNG streams —
 /// so cells fan out across workers bit-for-bit identically to the
 /// serial loop (a shared system would thread tuner/cache state from
 /// one service's probe into the next).
-fn max_throughput_cell(system: SystemKind, seed: u64, svc_idx: usize) -> (ServiceId, f64) {
+pub fn max_throughput_cell(system: SystemKind, seed: u64, svc_idx: usize) -> (ServiceId, f64) {
     let gt = GroundTruth::new(Zoo::standard(), seed ^ 0xA100);
     let base_rng = SimRng::seed(seed);
     let mut sys = build_system(system, &gt, &mut base_rng.fork("system"));
@@ -526,30 +249,13 @@ fn max_throughput_cell(system: SystemKind, seed: u64, svc_idx: usize) -> (Servic
 
 /// Fig. 14: the maximum sustainable QPS per service while the SLO holds
 /// (violation rate ≤ 1 %) and at least 10 % of the GPU stays with the
-/// co-located training task. Per-service cells fan out across cores;
-/// output is identical to [`max_throughput_serial`].
-pub fn max_throughput(system: SystemKind, seed: u64) -> Vec<(ServiceId, f64)> {
-    max_throughput_workers(system, seed, simcore::pool::max_workers())
-}
-
-/// [`max_throughput`] with an explicit worker count.
-pub fn max_throughput_workers(
-    system: SystemKind,
-    seed: u64,
-    workers: usize,
-) -> Vec<(ServiceId, f64)> {
+/// co-located training task. The per-service [`max_throughput_cell`]s
+/// fan out over `workers` threads; output is identical at any count.
+pub fn max_throughput(system: SystemKind, seed: u64, workers: usize) -> Vec<(ServiceId, f64)> {
     let n = Zoo::standard().services().len();
     simcore::pool::scoped_map_workers((0..n).collect(), workers, move |i| {
         max_throughput_cell(system, seed, i)
     })
-}
-
-/// Reference serial implementation of [`max_throughput`].
-pub fn max_throughput_serial(system: SystemKind, seed: u64) -> Vec<(ServiceId, f64)> {
-    let n = Zoo::standard().services().len();
-    (0..n)
-        .map(|i| max_throughput_cell(system, seed, i))
-        .collect()
 }
 
 /// One sample of the bursty-QPS case study (Fig. 16).
@@ -729,31 +435,41 @@ pub struct OptimalityReport {
 }
 
 /// Runs Mudi at physical scale and compares every placement decision
-/// against the exhaustive oracle (§5.4).
+/// against the exhaustive oracle (§5.4). The decisions are read back
+/// from the trace bus's full placement log.
 pub fn optimality_analysis(seed: u64, jobs: usize, iteration_scale: f64) -> OptimalityReport {
     let mut cfg = ClusterConfig::physical(SystemKind::Mudi, seed);
     cfg.jobs = jobs;
-    let engine = ClusterEngine::new(cfg);
+    let mut engine = ClusterEngine::new(cfg);
+    engine.set_trace_config(TraceConfig::with_placement_log());
     let gt = engine.ground_truth().clone();
-    let n_services = gt.zoo().services().len();
-    let (_result, log) = engine.run_with_log(iteration_scale);
-    let _ = n_services;
+    let (_, bus) = engine.run(iteration_scale);
     let mut oracle = Optimal::default();
 
+    let placements = bus.placements().len();
     let mut matches = 0usize;
     let mut ratios = Vec::new();
-    for (task, chosen_device, candidates) in &log {
+    for traced in bus.placements() {
+        let SimEvent::Placement {
+            task,
+            device: chosen_device,
+            candidates,
+        } = &traced.event
+        else {
+            continue;
+        };
         // Oracle choice over the *same* candidate set the selector saw,
         // scored at the reference load.
         let mut best: Option<(ServiceId, f64)> = None;
         let mut per_service: HashMap<ServiceId, f64> = HashMap::new();
         for &(_, service) in candidates {
+            let service = ServiceId(service);
             if per_service.contains_key(&service) {
                 continue;
             }
             let svc = gt.zoo().service(service);
             if let Some((_, _, iter)) =
-                oracle.best_config(&gt, service, svc.slo_secs(), 200.0, &[*task])
+                oracle.best_config(&gt, service, svc.slo_secs(), 200.0, &[TaskId(*task)])
             {
                 per_service.insert(service, iter);
                 if best.is_none_or(|(_, bi)| iter < bi) {
@@ -767,7 +483,7 @@ pub fn optimality_analysis(seed: u64, jobs: usize, iteration_scale: f64) -> Opti
         let chosen_service = candidates
             .iter()
             .find(|&&(d, _)| d == *chosen_device)
-            .map(|&(_, s)| s)
+            .map(|&(_, s)| ServiceId(s))
             .expect("chosen device was a candidate");
         if chosen_service == opt_service {
             matches += 1;
@@ -776,8 +492,7 @@ pub fn optimality_analysis(seed: u64, jobs: usize, iteration_scale: f64) -> Opti
             ratios.push(chosen_iter / opt_iter);
         }
     }
-    let placements = log.len().max(1);
-    let p = matches as f64 / placements as f64;
+    let p = matches as f64 / placements.max(1) as f64;
     let worst = ratios.iter().cloned().fold(1.0, f64::max);
     let mean_ratio = if ratios.is_empty() {
         1.0
@@ -788,7 +503,7 @@ pub fn optimality_analysis(seed: u64, jobs: usize, iteration_scale: f64) -> Opti
         effectiveness_rate: p,
         mean_iteration_ratio: mean_ratio,
         expectation_bound: p + (1.0 - p) * worst,
-        placements: log.len(),
+        placements,
     }
 }
 
@@ -798,11 +513,28 @@ mod tests {
 
     #[test]
     fn max_throughput_is_positive_and_ordered() {
-        let qps = max_throughput(SystemKind::Mudi, 3);
+        let qps = max_throughput(SystemKind::Mudi, 3, simcore::pool::max_workers());
         assert_eq!(qps.len(), 6);
         for &(s, q) in &qps {
             assert!(q > 0.0, "service {s:?} has zero throughput");
         }
+    }
+
+    #[test]
+    fn optimality_report_is_within_bounds() {
+        let r = optimality_analysis(3, 12, 0.01);
+        assert!(r.placements > 0, "no placements examined");
+        assert!(
+            (0.0..=1.0).contains(&r.effectiveness_rate),
+            "P {}",
+            r.effectiveness_rate
+        );
+        assert!(
+            r.mean_iteration_ratio >= 1.0,
+            "ratio {}",
+            r.mean_iteration_ratio
+        );
+        assert!(r.expectation_bound >= 1.0, "E {}", r.expectation_bound);
     }
 
     #[test]

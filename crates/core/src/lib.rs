@@ -21,8 +21,9 @@
 //!   fault-triggered retunes and the degraded-mode SLO circuit-breaker
 //!   used by the failure experiments).
 //! * **Scheduling policies** — [`policy`] (FCFS/SJF/fair/priority, §3).
-//! * **Mudi-more** — [`more`] (multiplexing up to three training tasks
-//!   per GPU, §5.5).
+//!
+//! Mudi-more (up to three training tasks per GPU, §5.5) is plain Mudi
+//! under [`MudiConfig::more`].
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +31,6 @@ pub mod config;
 pub mod guard;
 pub mod interference;
 pub mod monitor;
-pub mod more;
 pub mod policy;
 pub mod predictor;
 pub mod profiler;

@@ -28,7 +28,7 @@ pub mod traces;
 pub mod zoo;
 
 pub use arch::{LayerKind, NetworkArchitecture};
-pub use arrivals::{BurstSchedule, FluctuatingQps, PhillyArrivals, PoissonProcess};
+pub use arrivals::{BurstSchedule, FluctuatingQps, PhillyArrivals};
 pub use perf::{ColoKind, ColoWorkload, GroundTruth, InferencePhases};
 pub use zoo::{
     Domain, GenerativeProfile, InferenceServiceSpec, Optimizer, ServiceId, SizeClass, TaskId,

@@ -35,7 +35,7 @@ fn main() {
         cfg.jobs = 48;
         // Scale iteration counts down so the example finishes in
         // seconds; relative comparisons are unaffected.
-        let result = ClusterEngine::new(cfg).run_scaled(0.01);
+        let result = ClusterEngine::new(cfg).run(0.01).0;
         table.row(vec![
             system.name().to_string(),
             pct(result.overall_violation_rate()),

@@ -26,7 +26,7 @@ fn every_system_completes_all_jobs() {
         SystemKind::Random,
         SystemKind::Optimal,
     ] {
-        let r = ClusterEngine::new(tiny(system, 31, 12)).run_scaled(0.002);
+        let r = ClusterEngine::new(tiny(system, 31, 12)).run(0.002).0;
         assert_eq!(
             r.jobs_completed,
             r.jobs_submitted,
@@ -43,7 +43,7 @@ fn every_system_completes_all_jobs() {
 /// GSLICE (Fig. 8/9 shapes).
 #[test]
 fn mudi_beats_baselines_on_both_axes() {
-    let run = |system| ClusterEngine::new(tiny(system, 71, 24)).run_scaled(0.004);
+    let run = |system| ClusterEngine::new(tiny(system, 71, 24)).run(0.004).0;
     let mudi = run(SystemKind::Mudi);
     let gslice = run(SystemKind::Gslice);
     let muxflow = run(SystemKind::MuxFlow);
@@ -65,7 +65,9 @@ fn mudi_beats_baselines_on_both_axes() {
 /// than requests, per service.
 #[test]
 fn violations_never_exceed_requests() {
-    let r = ClusterEngine::new(tiny(SystemKind::MuxFlow, 5, 16)).run_scaled(0.002);
+    let r = ClusterEngine::new(tiny(SystemKind::MuxFlow, 5, 16))
+        .run(0.002)
+        .0;
     for (svc, m) in &r.services {
         assert!(
             m.violations <= m.requests + 1e-6,
@@ -91,7 +93,7 @@ fn queue_policies_work_end_to_end() {
         let mut cfg = tiny(SystemKind::Mudi, 13, 18);
         cfg.devices = 3; // Force queueing.
         cfg.policy = policy;
-        let r = ClusterEngine::new(cfg).run_scaled(0.004);
+        let r = ClusterEngine::new(cfg).run(0.004).0;
         assert_eq!(r.jobs_completed, r.jobs_submitted, "{policy:?}");
         results.push((policy, r.waiting.mean(), r.ct.mean()));
     }
@@ -110,7 +112,7 @@ fn queue_policies_work_end_to_end() {
 fn memory_swapping_accounting_is_consistent() {
     let mut cfg = tiny(SystemKind::Mudi, 17, 10);
     cfg.load_multiplier = 2.0; // Pressure the staging pools.
-    let r = ClusterEngine::new(cfg).run_scaled(0.002);
+    let r = ClusterEngine::new(cfg).run(0.002).0;
     assert_eq!(r.jobs_completed, r.jobs_submitted);
     for frac in r.swap_time_fraction.values() {
         assert!((0.0..=1.0).contains(frac));
@@ -122,7 +124,9 @@ fn memory_swapping_accounting_is_consistent() {
 /// should exceed the empty-cluster floor once training runs.
 #[test]
 fn utilization_is_bounded_and_nontrivial() {
-    let r = ClusterEngine::new(tiny(SystemKind::Mudi, 23, 16)).run_scaled(0.004);
+    let r = ClusterEngine::new(tiny(SystemKind::Mudi, 23, 16))
+        .run(0.004)
+        .0;
     assert!((0.0..=1.0).contains(&r.mean_sm_util));
     assert!((0.0..=1.0).contains(&r.mean_mem_util));
     assert!(r.mean_sm_util > 0.05, "cluster never did real work");
@@ -138,7 +142,7 @@ fn burst_schedule_applies_cluster_wide() {
     use workloads::BurstSchedule;
     let mut cfg = tiny(SystemKind::Mudi, 29, 8);
     cfg.burst = Some(BurstSchedule::fig16_burst());
-    let r = ClusterEngine::new(cfg).run_scaled(0.002);
+    let r = ClusterEngine::new(cfg).run(0.002).0;
     assert_eq!(r.jobs_completed, r.jobs_submitted);
 }
 
@@ -178,7 +182,7 @@ fn rack_blast_with_no_survivors_is_accounted_not_dropped() {
         failover_inference: true,
         ..RecoveryPolicy::standard()
     });
-    let r = engine.run_scaled(0.002);
+    let r = engine.run(0.002).0;
 
     assert_eq!(r.faults.device_failures, 2);
     // The outage is explicit: one total-outage window, tagged with its
@@ -257,7 +261,7 @@ fn rack_blast_survived_only_by_standby_in_another_rack() {
             })
             .collect(),
     ));
-    let r = engine.run_scaled(0.002);
+    let r = engine.run(0.002).0;
 
     assert_eq!(r.faults.device_failures, 2);
     assert!(r.faults.standby_slots >= 1, "pool was never seeded");

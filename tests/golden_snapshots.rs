@@ -1,7 +1,8 @@
 //! Golden-snapshot tests for the experiment drivers.
 //!
-//! Small-scale `failure_sweep` and `load_sensitivity` runs at fixed
-//! seeds are compared **exactly** (canonical round-trip float text)
+//! Small-scale failure, correlated-failure, warm-standby, and load
+//! sweeps (the `*_cells` builders run through `end_to_end_many`) at
+//! fixed seeds are compared **exactly** (canonical round-trip float text)
 //! against checked-in expectations under `tests/golden/`. A scheduler,
 //! placement, or recovery change that silently shifts any simulated
 //! quantity — violation counts, CT statistics, fault accounting — fails
@@ -20,7 +21,8 @@ use std::path::PathBuf;
 
 use cluster::engine::{ClusterConfig, ClusterSession, LiveFault};
 use cluster::experiments::{
-    correlated_failure_sweep, failure_sweep, load_sensitivity, warm_standby_sweep, FaultScope,
+    correlated_failure_cells, end_to_end_many, failure_cells, load_cells, warm_standby_cells,
+    FaultScope,
 };
 use cluster::metrics::ExperimentResult;
 use cluster::systems::SystemKind;
@@ -61,6 +63,23 @@ fn render_series(series: &[(f64, ExperimentResult)]) -> String {
     out
 }
 
+/// Runs `cells` through the pooled fan-out and pairs each result with
+/// its sweep key, in cell order.
+fn keyed<K: Copy>(keys: &[K], cells: Vec<(ClusterConfig, f64)>) -> Vec<(K, ExperimentResult)> {
+    assert_eq!(keys.len(), cells.len());
+    let results = end_to_end_many(cells, simcore::pool::max_workers());
+    keys.iter().copied().zip(results).collect()
+}
+
+/// The outer-major `(outer, inner)` key grid a two-axis `*_cells`
+/// builder lays its cells out in.
+fn grid<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
+    outer
+        .iter()
+        .flat_map(|&a| inner.iter().map(move |&b| (a, b)))
+        .collect()
+}
+
 /// Tiny deterministic cell: full 12-device physical topology, few jobs,
 /// heavily scaled-down iterations — seconds to run, same code paths.
 fn snapshot_config(system: SystemKind, seed: u64) -> (ClusterConfig, f64) {
@@ -72,7 +91,9 @@ fn snapshot_config(system: SystemKind, seed: u64) -> (ClusterConfig, f64) {
 #[test]
 fn failure_sweep_matches_golden() {
     let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
-    let series = failure_sweep(SystemKind::Mudi, 7, &[0.0, 100.0], base, scale);
+    let rates = [0.0, 100.0];
+    let cells = failure_cells(SystemKind::Mudi, 7, &rates, &base, scale);
+    let series = keyed(&rates, cells);
     check_golden("failure_sweep.txt", &render_series(&series));
 }
 
@@ -82,16 +103,11 @@ fn failure_sweep_matches_golden() {
 #[test]
 fn correlated_failures_match_golden() {
     let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
-    let series = correlated_failure_sweep(
-        SystemKind::Mudi,
-        7,
-        &[FaultScope::Node, FaultScope::Rack],
-        &[200.0],
-        base,
-        scale,
-    );
+    let scopes = [FaultScope::Node, FaultScope::Rack];
+    let rates = [200.0];
+    let cells = correlated_failure_cells(SystemKind::Mudi, 7, &scopes, &rates, &base, scale);
     let mut out = String::new();
-    for (scope, rate, r) in &series {
+    for ((scope, rate), r) in keyed(&grid(&scopes, &rates), cells) {
         let _ = writeln!(out, "== cell scope={} rate={rate:?} ==", scope.name());
         out.push_str(&r.canonical_text());
     }
@@ -106,9 +122,11 @@ fn correlated_failures_match_golden() {
 #[test]
 fn warm_standby_matches_golden() {
     let (base, scale) = snapshot_config(SystemKind::Mudi, 7);
-    let series = warm_standby_sweep(SystemKind::Mudi, 7, &[0, 1], &[200.0], base, scale);
+    let pools = [0, 1];
+    let rates = [200.0];
+    let cells = warm_standby_cells(SystemKind::Mudi, 7, &pools, &rates, &base, scale);
     let mut out = String::new();
-    for (pool, rate, r) in &series {
+    for ((pool, rate), r) in keyed(&grid(&pools, &rates), cells) {
         let _ = writeln!(out, "== cell pool={pool} rate={rate:?} ==");
         out.push_str(&r.canonical_text());
     }
@@ -262,6 +280,8 @@ fn llm_mix_session_matches_golden() {
 #[test]
 fn load_sensitivity_matches_golden() {
     let (base, scale) = snapshot_config(SystemKind::Gslice, 7);
-    let series = load_sensitivity(SystemKind::Gslice, 7, &[1.0, 4.0], base, scale);
+    let multipliers = [1.0, 4.0];
+    let cells = load_cells(SystemKind::Gslice, 7, &multipliers, &base, scale);
+    let series = keyed(&multipliers, cells);
     check_golden("load_sensitivity.txt", &render_series(&series));
 }

@@ -375,8 +375,8 @@ proptest! {
         };
         let (ea, eb) = (build(), build());
         prop_assert_eq!(ea.fault_schedule().events(), eb.fault_schedule().events());
-        let a = ea.run_scaled(0.002);
-        let b = eb.run_scaled(0.002);
+        let a = ea.run(0.002).0;
+        let b = eb.run(0.002).0;
         prop_assert_eq!(a.jobs_completed, b.jobs_completed);
         prop_assert_eq!(a.faults.device_failures, b.faults.device_failures);
         prop_assert_eq!(a.faults.slowdowns, b.faults.slowdowns);
@@ -417,8 +417,8 @@ proptest! {
         };
         let (ea, eb) = (build(), build());
         prop_assert_eq!(ea.fault_schedule().events(), eb.fault_schedule().events());
-        let a = ea.run_scaled(0.002);
-        let b = eb.run_scaled(0.002);
+        let a = ea.run(0.002).0;
+        let b = eb.run(0.002).0;
         prop_assert_eq!(a.canonical_text(), b.canonical_text());
         prop_assert_eq!(a.faults.service_outages, b.faults.service_outages);
         prop_assert_eq!(a.faults.correlated_outages, b.faults.correlated_outages);
@@ -462,7 +462,7 @@ proptest! {
                     })
                     .collect(),
             ));
-            engine.run_scaled(0.002)
+            engine.run(0.002).0
         };
         let with_pool = run(1);
         let without = run(0);
@@ -495,7 +495,7 @@ proptest! {
             let mut cfg = ClusterConfig::tiny(SystemKind::Mudi, seed).with_faults(profile);
             cfg.devices = 6;
             cfg.jobs = 8;
-            ClusterEngine::new(cfg).run_scaled(0.002)
+            ClusterEngine::new(cfg).run(0.002).0
         };
         let zero = run(StandbyPolicy::warm(0));
         let disabled = run(StandbyPolicy::disabled());

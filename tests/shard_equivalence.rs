@@ -22,7 +22,7 @@ use resilience::{CorrelatedFaultConfig, FaultProfile};
 use simcore::TopologyShape;
 
 fn canon(cfg: ClusterConfig, scale: f64) -> String {
-    ClusterEngine::new(cfg).run_scaled(scale).canonical_text()
+    ClusterEngine::new(cfg).run(scale).0.canonical_text()
 }
 
 /// The golden-snapshot shape (physical preset, 12 jobs) replayed at
