@@ -35,7 +35,6 @@
 //! `perf_kernel --gate`; `MUDI_BENCH_NO_GATE=1` bypasses on a noisy
 //! runner).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use bench::ledger;
@@ -247,9 +246,7 @@ fn main() {
 
     // Diagnostic filter: `MUDI_FIG22_DEVICES=100000` runs only that
     // sweep (and skips the ledger write, like `--smoke`).
-    let only: Option<usize> = std::env::var("MUDI_FIG22_DEVICES")
-        .ok()
-        .and_then(|v| v.parse().ok());
+    let only: Option<usize> = simcore::env::parse("MUDI_FIG22_DEVICES");
 
     let mut cells: Vec<Cell> = Vec::new();
     for sweep in sweeps(smoke) {
@@ -320,34 +317,33 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"devices\": {}, \"shards\": {}, \"workers\": {}, \"events\": {}, \
-             \"sim_secs\": {:.3}, \"wall_secs\": {:.6}, \"steps_per_sec\": {:.0}, \
-             \"lane_secs\": {:.6}, \"serial_secs\": {:.6}, \"parallel_speedup\": {:.3}, \
-             \"p99_step_wall_ms\": {:.3}, \"goodput_iters_per_hour\": {:.3}, \
-             \"violation_rate\": {:.6}, \"fingerprint\": \"{:016x}\"}}{}",
-            c.devices,
-            c.shards,
-            c.workers,
-            c.events,
-            c.sim_secs,
-            c.wall_secs,
-            c.steps_per_sec(),
-            c.lane_secs,
-            c.serial_secs,
-            c.parallel_speedup(),
-            c.p99_step_wall_ms,
-            c.goodput_iters_per_hour,
-            c.violation_rate,
-            c.fingerprint,
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(LEDGER_PATH, &json).expect("write BENCH_fig22_scale.json");
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"devices\": {}, \"shards\": {}, \"workers\": {}, \"events\": {}, \
+                 \"sim_secs\": {:.3}, \"wall_secs\": {:.6}, \"steps_per_sec\": {:.0}, \
+                 \"lane_secs\": {:.6}, \"serial_secs\": {:.6}, \"parallel_speedup\": {:.3}, \
+                 \"p99_step_wall_ms\": {:.3}, \"goodput_iters_per_hour\": {:.3}, \
+                 \"violation_rate\": {:.6}, \"fingerprint\": \"{:016x}\"}}",
+                c.devices,
+                c.shards,
+                c.workers,
+                c.events,
+                c.sim_secs,
+                c.wall_secs,
+                c.steps_per_sec(),
+                c.lane_secs,
+                c.serial_secs,
+                c.parallel_speedup(),
+                c.p99_step_wall_ms,
+                c.goodput_iters_per_hour,
+                c.violation_rate,
+                c.fingerprint,
+            )
+        })
+        .collect();
+    ledger::write(LEDGER_PATH, "cells", &rows, &[]);
     println!("ledger written to BENCH_fig22_scale.json");
 }
 

@@ -21,12 +21,16 @@
 //! are fully deterministic (fixed seed), so every field is
 //! reproducible; there are no wall-clock quantities here.
 //!
-//! `--smoke` sweeps a single load point on a short horizon and still
-//! writes the ledger — the CI shape (paired with `MUDI_THREADS=2` and
-//! `MUDI_SHARDS=4` so the sharded engine carries the LLM mix).
+//! `--smoke` sweeps a single load point on a short horizon — the CI
+//! shape (paired with `MUDI_THREADS=2` and `MUDI_SHARDS=4` so the
+//! sharded engine carries the LLM mix). It leaves the ledger alone and,
+//! at the default seed, checks its three cell fingerprints against
+//! `tests/golden/fig23_smoke_fingerprints.txt` (re-record with
+//! `MUDI_BLESS=1` after an intentional behavior change).
 
 use std::fmt::Write as _;
 
+use bench::ledger;
 use cluster::engine::{ClusterConfig, ClusterEngine, ScalePreset};
 use cluster::systems::SystemKind;
 
@@ -34,14 +38,19 @@ const LEDGER_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../BENCH_fig23_llm_mix.json"
 );
+const SMOKE_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/fig23_smoke_fingerprints.txt"
+);
+
+/// The seed the committed ledger and the smoke golden are recorded at.
+const DEFAULT_SEED: u64 = 7;
 
 const SYSTEMS: &[SystemKind] = &[SystemKind::Mudi, SystemKind::Gslice, SystemKind::MuxFlow];
 
-/// The experiment seed (override with `MUDI_SEED`). The committed
-/// ledger and the CI smoke/full fingerprint equivalence are recorded
-/// at the default.
+/// The experiment seed (override with `MUDI_SEED`).
 fn seed() -> u64 {
-    simcore::env::parse_or("MUDI_SEED", 7)
+    simcore::env::parse_or("MUDI_SEED", DEFAULT_SEED)
 }
 
 /// Two token-violation rates within this absolute distance are treated
@@ -105,6 +114,21 @@ fn main() {
         }
     }
 
+    if smoke {
+        println!("smoke mode: domination check skipped (short horizon)");
+        if seed() == DEFAULT_SEED {
+            let mut actual = String::new();
+            for c in &cells {
+                let _ = writeln!(actual, "{} {:.1} {:016x}", c.system, c.load, c.fingerprint);
+            }
+            ledger::check_golden("fig23_llm_mix --smoke", SMOKE_GOLDEN_PATH, &actual);
+        } else {
+            println!("smoke mode: fingerprint check skipped (non-default MUDI_SEED)");
+        }
+        println!("smoke mode: ledger not written");
+        return;
+    }
+
     // Load points where Mudi holds the best baseline's token
     // compliance (within tolerance) at equal-or-better goodput.
     let mut winning_loads: Vec<f64> = Vec::new();
@@ -125,47 +149,43 @@ fn main() {
             winning_loads.push(load);
         }
     }
-    if smoke {
-        println!("smoke mode: domination check skipped (short horizon)");
-    } else {
-        assert!(
-            !winning_loads.is_empty(),
-            "Mudi failed to match baseline token-SLO compliance at equal \
-             goodput on every swept load point"
-        );
-        println!(
-            "Mudi holds token-SLO compliance at equal-or-better goodput at \
-             load(s) {winning_loads:?}"
-        );
-    }
+    assert!(
+        !winning_loads.is_empty(),
+        "Mudi failed to match baseline token-SLO compliance at equal \
+         goodput on every swept load point"
+    );
+    println!(
+        "Mudi holds token-SLO compliance at equal-or-better goodput at \
+         load(s) {winning_loads:?}"
+    );
 
-    let mut json = String::from("{\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"system\": \"{}\", \"load\": {:.1}, \
-             \"goodput_iters_per_hour\": {:.3}, \"violation_rate\": {:.6}, \
-             \"token_violation_rate\": {:.6}, \"ttft_violation_rate\": {:.6}, \
-             \"fingerprint\": \"{:016x}\"}}{}",
-            c.system,
-            c.load,
-            c.goodput_iters_per_hour,
-            c.violation_rate,
-            c.token_violation_rate,
-            c.ttft_violation_rate,
-            c.fingerprint,
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"token_rate_tol\": ");
-    let _ = write!(json, "{TOKEN_RATE_TOL}");
-    json.push_str(",\n  \"mudi_wins_at_loads\": [");
-    for (i, l) in winning_loads.iter().enumerate() {
-        let _ = write!(json, "{}{l:.1}", if i > 0 { ", " } else { "" });
-    }
-    json.push_str("],\n  \"smoke\": ");
-    let _ = write!(json, "{smoke}\n}}");
-    json.push('\n');
-    std::fs::write(LEDGER_PATH, &json).expect("write BENCH_fig23_llm_mix.json");
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"system\": \"{}\", \"load\": {:.1}, \
+                 \"goodput_iters_per_hour\": {:.3}, \"violation_rate\": {:.6}, \
+                 \"token_violation_rate\": {:.6}, \"ttft_violation_rate\": {:.6}, \
+                 \"fingerprint\": \"{:016x}\"}}",
+                c.system,
+                c.load,
+                c.goodput_iters_per_hour,
+                c.violation_rate,
+                c.token_violation_rate,
+                c.ttft_violation_rate,
+                c.fingerprint,
+            )
+        })
+        .collect();
+    let wins: Vec<String> = winning_loads.iter().map(|l| format!("{l:.1}")).collect();
+    ledger::write(
+        LEDGER_PATH,
+        "cells",
+        &rows,
+        &[
+            ("token_rate_tol", TOKEN_RATE_TOL.to_string()),
+            ("mudi_wins_at_loads", format!("[{}]", wins.join(", "))),
+        ],
+    );
     println!("ledger written to BENCH_fig23_llm_mix.json");
 }

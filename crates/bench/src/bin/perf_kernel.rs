@@ -162,21 +162,7 @@ fn run_check() {
         let fp = session.finish().fingerprint();
         let _ = writeln!(actual, "{shape} {fp:016x}");
     }
-    if simcore::env::flag("MUDI_BLESS") {
-        std::fs::write(FINGERPRINT_PATH, &actual).expect("write fingerprint golden");
-        println!("perf_kernel --check: fingerprints recorded\n{actual}");
-        return;
-    }
-    let expected = std::fs::read_to_string(FINGERPRINT_PATH).unwrap_or_else(|e| {
-        panic!("missing golden {FINGERPRINT_PATH}: {e}; record with MUDI_BLESS=1")
-    });
-    assert!(
-        expected == actual,
-        "perf_kernel --check: shape fingerprints drifted.\n\
-         The kernel's simulated results changed; if intentional, re-record\n\
-         with MUDI_BLESS=1.\n--- expected ---\n{expected}--- actual ---\n{actual}"
-    );
-    println!("perf_kernel --check: all shape fingerprints match\n{actual}");
+    ledger::check_golden("perf_kernel --check", FINGERPRINT_PATH, &actual);
 }
 
 /// One committed ledger row's gated fields: `(shape, steps_per_sec)`.
@@ -222,38 +208,38 @@ fn main() {
             median_of(samples, || run_shape(shape, config.clone(), horizon, step))
         })
         .collect();
-    let shapes = measured;
-
-    let mut json = String::from("{\n  \"shapes\": [\n");
-    for (i, m) in shapes.iter().enumerate() {
-        println!(
-            "{:<32} {:>9} events  {:>10.0} steps/s  {:>12.0} sim-s/wall-s",
-            m.shape,
-            m.events,
-            m.steps_per_sec(),
-            m.sim_secs_per_wall_sec()
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"shape\": \"{}\", \"events\": {}, \"sim_secs\": {:.3}, \"wall_secs\": {:.6}, \"steps_per_sec\": {:.0}, \"sim_secs_per_wall_sec\": {:.0}}}{}",
-            m.shape,
-            m.events,
-            m.sim_secs,
-            m.wall_secs,
-            m.steps_per_sec(),
-            m.sim_secs_per_wall_sec(),
-            if i + 1 < shapes.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"samples_per_shape\": ");
-    let _ = write!(json, "{samples}\n}}");
-    json.push('\n');
+    let rows: Vec<String> = measured
+        .iter()
+        .map(|m| {
+            println!(
+                "{:<32} {:>9} events  {:>10.0} steps/s  {:>12.0} sim-s/wall-s",
+                m.shape,
+                m.events,
+                m.steps_per_sec(),
+                m.sim_secs_per_wall_sec()
+            );
+            format!(
+                "{{\"shape\": \"{}\", \"events\": {}, \"sim_secs\": {:.3}, \"wall_secs\": {:.6}, \"steps_per_sec\": {:.0}, \"sim_secs_per_wall_sec\": {:.0}}}",
+                m.shape,
+                m.events,
+                m.sim_secs,
+                m.wall_secs,
+                m.steps_per_sec(),
+                m.sim_secs_per_wall_sec(),
+            )
+        })
+        .collect();
 
     if gate {
-        gate_shapes(&reference, &shapes);
+        gate_shapes(&reference, &measured);
     }
 
-    std::fs::write(LEDGER_PATH, &json).expect("write BENCH_perf_kernel.json");
+    ledger::write(
+        LEDGER_PATH,
+        "shapes",
+        &rows,
+        &[("samples_per_shape", samples.to_string())],
+    );
     println!("\nledger written to BENCH_perf_kernel.json");
 }
 

@@ -37,7 +37,7 @@ fn main() {
     ]);
     // Heavier services co-locate with the big YOLOv5 task, as in the
     // paper's stress scenario. Each per-service cell is independent, so
-    // they fan out across the worker pool; `scoped_map` preserves
+    // they fan out across the worker pool; `bursty_case_study_many` preserves
     // order, keeping stdout identical to the serial loop it replaces.
     let specs: Vec<CaseStudySpec> = zoo
         .services()

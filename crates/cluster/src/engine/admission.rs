@@ -17,13 +17,13 @@ use workloads::PhillyArrivals;
 use crate::job::{JobId, TrainingJob};
 
 use super::control::Control;
-use super::state::{Event, SimState};
+use super::state::{Event, SimState, DEVICE_CHUNK};
 
 /// The admission stage. Stateless: everything lives in [`SimState`].
 pub(super) struct Admission;
 
-/// The shared, read-only inputs of one candidate-scan, bundled so the
-/// chunked fan-out can hand every worker the same view.
+/// The shared, read-only inputs of one candidate scan, bundled so the
+/// chunked fold can hand every piece the same view.
 struct CandidateView<'a> {
     dstate: &'a [super::state::DeviceState],
     topo: &'a Topology,
@@ -34,8 +34,8 @@ struct CandidateView<'a> {
 }
 
 /// Builds the candidate entries for one contiguous device range
-/// (`base..base + devices.len()`), in device-ascending order. Shared
-/// verbatim by the serial scan and every parallel chunk.
+/// (`base..base + devices.len()`), in device-ascending order — one
+/// piece of the chunked scan.
 fn build_candidates(
     view: &CandidateView<'_>,
     base: usize,
@@ -141,14 +141,13 @@ impl Admission {
     /// fault injection.
     ///
     /// The device scan is a pure read in device-ascending order, so it
-    /// fans out over fixed-size chunks when workers are available: each
-    /// chunk builds its own slice of the candidate list and the slices
-    /// concatenate in chunk order — byte-identical to the serial scan
+    /// folds [`DEVICE_CHUNK`]-sized pieces on the worker pool: each
+    /// piece builds its own slice of the candidate list and the slices
+    /// concatenate in piece order — byte-identical to one serial scan
     /// for every `(shards, workers)` grid point. Its wall time accrues
     /// to [`SimState::phase_place_secs`] (parallelizable serial-phase
     /// work, like the utilization sample's fan-out).
     pub fn candidates(&self, st: &mut SimState, now: SimTime) -> Vec<DeviceCandidate> {
-        const CHUNK: usize = 4096;
         let t0 = Instant::now();
         let max_t = st.config.system.max_trainings();
         // Reliability terms only engage under fault injection so the
@@ -180,38 +179,26 @@ impl Admission {
             reliability_on,
             elapsed_days,
         };
-        let workers = st.workers;
-        let out = if workers > 1 && st.devices.len() > CHUNK {
-            struct BuildChunk<'a> {
-                base: usize,
-                devices: &'a mut [GpuDevice],
-                out: Vec<DeviceCandidate>,
-            }
-            let mut work: Vec<BuildChunk> = Vec::with_capacity(st.devices.len() / CHUNK + 1);
-            let mut rest = &mut st.devices[..];
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = rest.len().min(CHUNK);
-                let (chunk, tail) = rest.split_at_mut(take);
-                work.push(BuildChunk {
-                    base,
-                    devices: chunk,
-                    out: Vec::new(),
-                });
-                base += take;
-                rest = tail;
-            }
-            let view = &view;
-            simcore::scoped_for_each_mut(&mut work, workers, |_, w| {
-                w.out = build_candidates(view, w.base, w.devices);
-            });
-            let mut all = Vec::with_capacity(work.iter().map(|w| w.out.len()).sum());
-            for w in &mut work {
-                all.append(&mut w.out);
+        let mut parts: Vec<Vec<DeviceCandidate>> = Vec::new();
+        simcore::fold_chunks_mut(
+            &mut st.devices,
+            DEVICE_CHUNK,
+            st.workers,
+            |base, piece| build_candidates(&view, base, piece),
+            |part| parts.push(part),
+        );
+        // Several pieces are joined into one exact-size vector allocated
+        // on this thread. Keeping a part a pool worker allocated as the
+        // result, or growing one piece by piece, raised the 10k-device
+        // run's peak RSS.
+        let out = if parts.len() == 1 {
+            parts.pop().expect("one piece")
+        } else {
+            let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+            for mut part in parts {
+                all.append(&mut part);
             }
             all
-        } else {
-            build_candidates(&view, 0, &st.devices)
         };
         st.phase_place_secs += t0.elapsed().as_secs_f64();
         out

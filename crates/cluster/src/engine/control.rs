@@ -26,7 +26,7 @@ use crate::systems::{ConfigDecision, DeviceView, SystemKind};
 
 use super::admission::Admission;
 use super::shard::OutMsg;
-use super::state::{Event, LaneCtx, SimState};
+use super::state::{Event, LaneCtx, SimState, DEVICE_CHUNK};
 
 /// The control stage. Stateless: everything lives in [`SimState`].
 pub(super) struct Control;
@@ -667,58 +667,33 @@ impl Control {
     /// device's integrators).
     ///
     /// The walk over every device is a pure read and dominates the
-    /// serial phase at 100k devices, so it fans out over the worker
-    /// pool. The chunking is a fixed 4096-device grid — independent of
-    /// the shard partition — and the reduction adds chunk partials in
-    /// index order, so the sampled means are bit-identical across
-    /// every `(shards, workers)` grid point. The single-worker path
-    /// walks the same chunk grid without allocating (the kernel's
-    /// zero-allocation steady state covers this event).
+    /// serial phase at 100k devices, so it folds [`DEVICE_CHUNK`]-sized
+    /// pieces on the worker pool and adds their partials in piece
+    /// order: the sampled means are bit-identical across every
+    /// `(shards, workers)` grid point, and a single piece or worker
+    /// runs inline without allocating (the kernel's zero-allocation
+    /// steady state covers this event).
     pub fn on_util_sample(&self, st: &mut SimState, now: SimTime) {
-        const CHUNK: usize = 4096;
         let t0 = std::time::Instant::now();
-        let workers = st.workers;
         let gt = &st.shared.gt;
         let (mut sm, mut mem) = (0.0, 0.0);
-        if workers > 1 && st.devices.len() > CHUNK {
-            struct SampleChunk<'a> {
-                devices: &'a mut [gpu_sim::GpuDevice],
-                sums: (f64, f64),
-            }
-            let mut work: Vec<SampleChunk> = Vec::with_capacity(st.devices.len() / CHUNK + 1);
-            let mut rest = &mut st.devices[..];
-            while !rest.is_empty() {
-                let take = rest.len().min(CHUNK);
-                let (chunk, tail) = rest.split_at_mut(take);
-                work.push(SampleChunk {
-                    devices: chunk,
-                    sums: (0.0, 0.0),
-                });
-                rest = tail;
-            }
-            simcore::scoped_for_each_mut(&mut work, workers, |_, w| {
+        simcore::fold_chunks_mut(
+            &mut st.devices,
+            DEVICE_CHUNK,
+            st.workers,
+            |_, piece| {
                 let (mut cs, mut cm) = (0.0, 0.0);
-                for dev in w.devices.iter() {
+                for dev in piece.iter() {
                     cs += dev.sm_utilization(gt);
                     cm += dev.memory().utilization();
                 }
-                w.sums = (cs, cm);
-            });
-            for w in &work {
-                sm += w.sums.0;
-                mem += w.sums.1;
-            }
-        } else {
-            for chunk in st.devices.chunks(CHUNK) {
-                let (mut cs, mut cm) = (0.0, 0.0);
-                for dev in chunk {
-                    cs += dev.sm_utilization(gt);
-                    cm += dev.memory().utilization();
-                }
+                (cs, cm)
+            },
+            |(cs, cm)| {
                 sm += cs;
                 mem += cm;
-            }
-        }
+            },
+        );
         let n = st.devices.len() as f64;
         st.util_series.push((now.as_secs(), sm / n, mem / n));
         st.phase_sample_secs += t0.elapsed().as_secs_f64();

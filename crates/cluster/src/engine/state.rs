@@ -40,6 +40,14 @@ use super::config::ClusterConfig;
 use super::control::Control;
 use super::shard::{Envelope, EventLane, OutMsg, ShardedEvents, VpCache, AUTO_SHARD_MIN_DEVICES};
 
+/// The fixed piece size of every serial-phase reduction over the device
+/// table (the utilization sample, the placement candidate scan). The
+/// piece grid depends on neither the shard partition nor the worker
+/// count, and pieces fold in index order
+/// ([`simcore::fold_chunks_mut`]), so the float grouping is identical
+/// at every `(shards, workers)` grid point.
+pub(super) const DEVICE_CHUNK: usize = 4096;
+
 /// Engine-internal events, sequenced by the stepper.
 ///
 /// Events split into two populations (see the routing table in

@@ -409,7 +409,7 @@ pub struct CaseStudySpec {
 /// cell is self-contained, so output is bit-for-bit identical to
 /// calling [`bursty_case_study`] in a serial loop over the specs.
 pub fn bursty_case_study_many(specs: Vec<CaseStudySpec>) -> Vec<CaseStudy> {
-    simcore::pool::scoped_map(specs, |s| {
+    simcore::pool::scoped_map_workers(specs, simcore::pool::max_workers(), |s| {
         bursty_case_study(
             s.system,
             &s.service,

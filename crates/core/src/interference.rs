@@ -382,13 +382,6 @@ impl InterferenceModeler {
         ids.sort();
         ids
     }
-
-    /// Training-set size for one service/target (diagnostics).
-    pub fn training_size(&self, service: ServiceId) -> usize {
-        self.per_service
-            .get(&service)
-            .map_or(0, |s| s.data[&TargetParam::K1].len())
-    }
 }
 
 #[cfg(test)]
@@ -407,6 +400,13 @@ mod tests {
         (gt, modeler)
     }
 
+    /// Training-set size for one service (rows of the `K1` target).
+    fn training_size(m: &InterferenceModeler, service: ServiceId) -> usize {
+        m.per_service
+            .get(&service)
+            .map_or(0, |s| s.data[&TargetParam::K1].len())
+    }
+
     #[test]
     fn covers_all_services_with_all_targets() {
         let (gt, m) = trained();
@@ -415,7 +415,7 @@ mod tests {
             for target in TargetParam::ALL {
                 assert!(m.chosen_kind(svc.id, target).is_some());
             }
-            assert_eq!(m.training_size(svc.id), 30); // 6 batches × 5 colo tasks (solo rows are references).
+            assert_eq!(training_size(&m, svc.id), 30); // 6 batches × 5 colo tasks (solo rows are references).
         }
     }
 
@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn update_extends_training_data() {
         let (gt, mut m) = trained();
-        let before = m.training_size(gt.zoo().services()[0].id);
+        let before = training_size(&m, gt.zoo().services()[0].id);
         let profiler = LatencyProfiler::new(MudiConfig::default());
         let mut rng = SimRng::seed(7);
         let mut extra = ProfileDatabase::new();
@@ -494,7 +494,7 @@ mod tests {
             }
         }
         m.update(&extra, &rng);
-        assert_eq!(m.training_size(gt.zoo().services()[0].id), before + 1);
+        assert_eq!(training_size(&m, gt.zoo().services()[0].id), before + 1);
     }
 
     /// The (service × target) selection cells run on the pool; the

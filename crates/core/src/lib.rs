@@ -44,4 +44,4 @@ pub use monitor::{Monitor, MonitorEvent};
 pub use predictor::InterferencePredictor;
 pub use profiler::{LatencyProfiler, ProfileDatabase, ProfileKey};
 pub use selector::{DeviceCandidate, DeviceSelector, PlacementDecision, ReliabilityPrior};
-pub use tuner::{TuneTrigger, Tuner, TuningOutcome};
+pub use tuner::{Tuner, TuningOutcome};

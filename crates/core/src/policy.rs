@@ -98,21 +98,22 @@ impl QueuePolicy {
         };
         best.map(|(i, _)| i)
     }
-
-    /// Removes and returns the next item per the policy.
-    pub fn pop_next<T>(
-        &self,
-        queue: &mut Vec<QueueItem<T>>,
-        fair: &FairState,
-    ) -> Option<QueueItem<T>> {
-        let i = self.next_index(queue, fair)?;
-        Some(queue.remove(i))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Removes and returns the next item per `policy`, as the
+    /// admission stage does with [`QueuePolicy::next_index`].
+    fn pop_next<T>(
+        policy: QueuePolicy,
+        queue: &mut Vec<QueueItem<T>>,
+        fair: &FairState,
+    ) -> Option<QueueItem<T>> {
+        let i = policy.next_index(queue, fair)?;
+        Some(queue.remove(i))
+    }
 
     fn item(arr: f64, dur: f64, prio: u8, class: usize, tag: &str) -> QueueItem<&str> {
         QueueItem {
@@ -129,14 +130,14 @@ mod tests {
         let mut q = vec![item(5.0, 1.0, 0, 0, "b"), item(1.0, 9.0, 0, 0, "a")];
         let fair = FairState::new();
         assert_eq!(
-            QueuePolicy::Fcfs.pop_next(&mut q, &fair).unwrap().payload,
+            pop_next(QueuePolicy::Fcfs, &mut q, &fair).unwrap().payload,
             "a"
         );
         assert_eq!(
-            QueuePolicy::Fcfs.pop_next(&mut q, &fair).unwrap().payload,
+            pop_next(QueuePolicy::Fcfs, &mut q, &fair).unwrap().payload,
             "b"
         );
-        assert!(QueuePolicy::Fcfs.pop_next(&mut q, &fair).is_none());
+        assert!(pop_next(QueuePolicy::Fcfs, &mut q, &fair).is_none());
     }
 
     #[test]
@@ -144,7 +145,7 @@ mod tests {
         let mut q = vec![item(1.0, 9.0, 0, 0, "long"), item(5.0, 1.0, 0, 0, "short")];
         let fair = FairState::new();
         assert_eq!(
-            QueuePolicy::Sjf.pop_next(&mut q, &fair).unwrap().payload,
+            pop_next(QueuePolicy::Sjf, &mut q, &fair).unwrap().payload,
             "short"
         );
     }
@@ -157,8 +158,7 @@ mod tests {
         ];
         let fair = FairState::new();
         assert_eq!(
-            QueuePolicy::Priority
-                .pop_next(&mut q, &fair)
+            pop_next(QueuePolicy::Priority, &mut q, &fair)
                 .unwrap()
                 .payload,
             "late-high"
@@ -174,7 +174,7 @@ mod tests {
         let mut fair = FairState::new();
         fair.record(0, 1000.0);
         assert_eq!(
-            QueuePolicy::Fair.pop_next(&mut q, &fair).unwrap().payload,
+            pop_next(QueuePolicy::Fair, &mut q, &fair).unwrap().payload,
             "class1"
         );
     }
@@ -187,7 +187,7 @@ mod tests {
         ];
         let fair = FairState::new();
         assert_eq!(
-            QueuePolicy::Fair.pop_next(&mut q, &fair).unwrap().payload,
+            pop_next(QueuePolicy::Fair, &mut q, &fair).unwrap().payload,
             "earlier"
         );
     }
@@ -202,7 +202,7 @@ mod tests {
             QueuePolicy::Fair,
             QueuePolicy::Priority,
         ] {
-            assert!(p.pop_next(&mut q, &fair).is_none());
+            assert!(pop_next(p, &mut q, &fair).is_none());
         }
     }
 }

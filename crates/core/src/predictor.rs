@@ -11,10 +11,10 @@ use std::collections::HashMap;
 
 use modeling::fit::piecewise::PiecewiseLinear;
 use simcore::SimRng;
-use workloads::{GroundTruth, NetworkArchitecture, ServiceId, TaskId};
+use workloads::{NetworkArchitecture, ServiceId};
 
 use crate::interference::InterferenceModeler;
-use crate::profiler::{LatencyProfiler, ProfileDatabase, ProfileKey};
+use crate::profiler::ProfileDatabase;
 
 /// The online latency-curve predictor.
 pub struct InterferencePredictor {
@@ -51,23 +51,6 @@ impl InterferencePredictor {
             db: self.db.clone(),
             memo: RefCell::new(HashMap::new()),
         }
-    }
-
-    /// Predicts the latency curve for an *explicit* co-located task
-    /// set: exact profile when available, learned prediction otherwise.
-    pub fn curve_for_tasks(
-        &self,
-        gt: &GroundTruth,
-        service: ServiceId,
-        batch: u32,
-        tasks: &[TaskId],
-    ) -> Option<PiecewiseLinear> {
-        let key = ProfileKey::new(service, batch, tasks.to_vec());
-        if let Some(rec) = self.db.get(&key) {
-            return Some(rec.curve);
-        }
-        let arch = LatencyProfiler::merged_arch(gt, tasks);
-        self.curve_for_arch(service, &arch, batch)
     }
 
     /// Predicts the latency curve from a cumulative architecture (the
@@ -162,7 +145,8 @@ impl InterferencePredictor {
 mod tests {
     use super::*;
     use crate::config::MudiConfig;
-    use workloads::Zoo;
+    use crate::profiler::{LatencyProfiler, ProfileKey};
+    use workloads::{GroundTruth, Zoo};
 
     fn build() -> (GroundTruth, InterferencePredictor) {
         let gt = GroundTruth::new(Zoo::standard(), 21);
@@ -174,22 +158,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_profiles_are_reused() {
-        let (gt, p) = build();
-        let svc = gt.zoo().services()[0].id;
-        let task = gt.zoo().profiled_task_ids()[0];
-        let via_tasks = p.curve_for_tasks(&gt, svc, 64, &[task]).unwrap();
-        let key = ProfileKey::new(svc, 64, vec![task]);
-        assert_eq!(via_tasks, p.database().get(&key).unwrap().curve);
-    }
-
-    #[test]
     fn unprofiled_batch_falls_back_to_model() {
         let (gt, p) = build();
         let svc = gt.zoo().services()[1].id;
         let task = gt.zoo().profiled_task_ids()[1];
         // Batch 48 was never profiled; the model must answer anyway.
-        let c = p.curve_for_tasks(&gt, svc, 48, &[task]).unwrap();
+        let arch = LatencyProfiler::merged_arch(&gt, &[task]);
+        let c = p.curve_for_arch(svc, &arch, 48).unwrap();
         assert!(c.y0 > 0.0 && c.k1 <= 0.0);
     }
 
@@ -199,7 +174,7 @@ mod tests {
         let svc = gt.zoo().service_by_name("GPT2").unwrap().id;
         for &t in &gt.zoo().unobserved_task_ids() {
             let c = p
-                .curve_for_tasks(&gt, svc, 128, &[t])
+                .curve_for_arch(svc, &LatencyProfiler::merged_arch(&gt, &[t]), 128)
                 .expect("prediction for unobserved task");
             assert!((0.12..=0.92).contains(&c.x0));
         }

@@ -30,17 +30,6 @@ use workloads::ServiceId;
 use crate::config::MudiConfig;
 use crate::predictor::InterferencePredictor;
 
-/// Why a tuning pass was started.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TuneTrigger {
-    /// A training task was just assigned to the device.
-    NewTraining,
-    /// The Monitor observed a QPS change beyond the threshold.
-    QpsChange,
-    /// The Monitor observed tail latency at risk of violating the SLO.
-    SloRisk,
-}
-
 /// The Tuner's decision for one device.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TuningOutcome {

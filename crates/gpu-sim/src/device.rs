@@ -510,14 +510,9 @@ impl GpuDevice {
     }
 
     /// The co-location set as seen by an *active* standby (the primary
-    /// inference instance plus all resident trainings).
-    pub fn colo_for_standby(&self) -> Vec<ColoWorkload> {
-        let (buf, n) = self.colo_for_standby_buf();
-        buf[..n].to_vec()
-    }
-
-    /// [`GpuDevice::colo_for_standby`] into a fixed stack buffer,
-    /// `(buffer, len)` — the allocation-free form for per-event paths.
+    /// inference instance plus all resident trainings), in a fixed
+    /// stack buffer as `(buffer, len)` — allocation-free for per-event
+    /// paths.
     pub fn colo_for_standby_buf(&self) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
         let mut buf = [ColoWorkload::training(TaskId(0), 0.0); COLO_VIEW_MAX];
         let mut n = 0;
@@ -533,15 +528,9 @@ impl GpuDevice {
     }
 
     /// The co-location set as seen by training `id` (the inference
-    /// instance plus the other trainings).
-    pub fn colo_for_training(&self, id: ResidentId) -> Vec<ColoWorkload> {
-        let (buf, n) = self.colo_for_training_buf(id);
-        buf[..n].to_vec()
-    }
-
-    /// [`GpuDevice::colo_for_training`] into a fixed stack buffer,
-    /// returned as `(buffer, len)` — the allocation-free form the
-    /// engine's per-event accrual uses. [`COLO_VIEW_MAX`] covers the
+    /// instance, the other trainings and an active standby) in a fixed
+    /// stack buffer, returned as `(buffer, len)` — the allocation-free
+    /// form the engine's per-event accrual uses. [`COLO_VIEW_MAX`] covers the
     /// worst case: the inference replica, every co-resident training,
     /// and an active standby.
     pub fn colo_for_training_buf(&self, id: ResidentId) -> ([ColoWorkload; COLO_VIEW_MAX], usize) {
@@ -738,8 +727,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.colo_for_inference().len(), 2);
-        let view = d.colo_for_training(ResidentId(1));
-        assert_eq!(view.len(), 2); // Inference + the *other* training.
+        let (_, n) = d.colo_for_training_buf(ResidentId(1));
+        assert_eq!(n, 2); // Inference + the *other* training.
     }
 
     #[test]
@@ -947,7 +936,7 @@ mod tests {
         assert!(d.standby().unwrap().is_active());
         assert!(d.memory().total_demand_gb() >= parked);
         assert_eq!(d.colo_for_inference().len(), 2, "active standby co-runs");
-        assert_eq!(d.colo_for_training(ResidentId(1)).len(), 2);
+        assert_eq!(d.colo_for_training_buf(ResidentId(1)).1, 2);
         assert!(d.sm_utilization(&g) <= 1.0);
 
         d.demote_standby(&g, t(3.0));

@@ -266,7 +266,7 @@ mod tests {
         let mut m = MemoryManager::new(40.0);
         m.set_inference_demand(t(0.0), 10.0);
         let d = m.add_training(t(1.0), ResidentId(1), 20.0);
-        assert!(d.is_zero());
+        assert_eq!(d.as_secs(), 0.0);
         assert!(!m.is_overflowed());
         assert_eq!(m.total_swapped_gb(), 0.0);
         assert_eq!(m.training_slowdown(ResidentId(1)), 1.0);

@@ -153,19 +153,9 @@ impl TrainingProcess {
             .saturating_sub(self.completed_iterations)
     }
 
-    /// Whether the task has finished.
-    pub fn is_done(&self) -> bool {
-        self.completed_iterations >= self.total_iterations
-    }
-
     /// Advances progress by `n` iterations, clamped at the total.
     pub fn advance(&mut self, n: u64) {
         self.completed_iterations = (self.completed_iterations + n).min(self.total_iterations);
-    }
-
-    /// Fraction of the task completed, in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        self.completed_iterations as f64 / self.total_iterations as f64
     }
 }
 
@@ -176,12 +166,11 @@ mod tests {
     #[test]
     fn training_progress_lifecycle() {
         let mut p = TrainingProcess::new(ResidentId(1), TaskId(0), 0.5, 100);
-        assert!(!p.is_done());
         assert_eq!(p.remaining_iterations(), 100);
         p.advance(60);
-        assert_eq!(p.progress(), 0.6);
+        assert_eq!(p.completed_iterations, 60);
         p.advance(1000);
-        assert!(p.is_done());
+        assert_eq!(p.remaining_iterations(), 0);
         assert_eq!(p.completed_iterations, 100);
     }
 

@@ -42,13 +42,6 @@ impl Node {
             }
         }
     }
-
-    fn depth(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 1,
-            Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
-        }
-    }
 }
 
 /// A bagged ensemble of regression trees.
@@ -90,11 +83,6 @@ impl RandomForest {
     /// Number of trees in the ensemble.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
-    }
-
-    /// Maximum depth across trees (diagnostics).
-    pub fn max_depth(&self) -> usize {
-        self.trees.iter().map(Node::depth).max().unwrap_or(0)
     }
 }
 
@@ -249,11 +237,18 @@ mod tests {
         assert_eq!(a.predict(&[4.2, 1.0]), b.predict(&[4.2, 1.0]));
     }
 
+    fn depth(node: &Node) -> usize {
+        match node {
+            Node::Leaf { .. } => 1,
+            Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
+        }
+    }
+
     #[test]
     fn depth_is_bounded() {
         let mut rng = SimRng::seed(3);
         let m = RandomForest::train(&step_dataset(), 5, 1, &mut rng).unwrap();
-        assert!(m.max_depth() <= MAX_DEPTH + 1);
+        assert!(m.trees.iter().map(depth).all(|d| d <= MAX_DEPTH + 1));
         assert_eq!(m.n_trees(), 5);
     }
 

@@ -109,21 +109,9 @@ impl CheckpointTracker {
         self.checkpoint_iters
     }
 
-    /// Work that would be lost if the job died right now, given its
-    /// current completed iterations.
-    pub fn loss_if_failed(&self, current_iters: f64) -> f64 {
-        (current_iters - self.checkpoint_iters).max(0.0)
-    }
-
     /// The configured checkpoint period.
     pub fn period(&self) -> SimDuration {
         SimDuration::from_secs(self.period_secs)
-    }
-
-    /// Running time since the last checkpoint, seconds. Bounded by one
-    /// period (up to floating-point rounding) by construction.
-    pub fn secs_since_checkpoint(&self) -> f64 {
-        self.run_secs - self.checkpoint_run_secs
     }
 
     /// The stall charged per checkpoint write, seconds.
@@ -157,6 +145,12 @@ mod tests {
         CheckpointTracker::new(SimDuration::from_secs(period), 0.0)
     }
 
+    /// Running time since the last checkpoint, seconds: at most one
+    /// period (up to floating-point rounding) by construction.
+    fn secs_since_checkpoint(t: &CheckpointTracker) -> f64 {
+        t.run_secs - t.checkpoint_run_secs
+    }
+
     #[test]
     fn no_checkpoint_before_first_boundary() {
         let mut t = tracker(100.0);
@@ -181,7 +175,7 @@ mod tests {
         // One span crossing three boundaries: only the latest matters.
         t.on_progress(350.0, 0.0, 700.0);
         assert!((t.checkpoint_iters() - 600.0).abs() < 1e-9);
-        assert!(t.secs_since_checkpoint() <= 100.0 + 1e-9);
+        assert!(secs_since_checkpoint(&t) <= 100.0 + 1e-9);
     }
 
     #[test]
@@ -217,10 +211,10 @@ mod tests {
             t.on_progress(secs, iters, end);
             iters = end;
             max_rate_seen = max_rate_seen.max(rate);
-            let lost = t.loss_if_failed(iters);
+            let lost = iters - t.checkpoint_iters();
             // Lost work ≤ time-since-checkpoint × current rate, and
             // time-since-checkpoint ≤ one period.
-            assert!(t.secs_since_checkpoint() <= 60.0 + 1e-9);
+            assert!(secs_since_checkpoint(&t) <= 60.0 + 1e-9);
             assert!(lost <= 60.0 * max_rate_seen + 1e-9, "lost {lost}");
         }
     }
@@ -230,7 +224,7 @@ mod tests {
         let mut t = CheckpointTracker::new(SimDuration::from_secs(50.0), 500.0);
         assert_eq!(t.rollback(), 500.0);
         t.on_progress(10.0, 500.0, 510.0);
-        assert_eq!(t.loss_if_failed(510.0), 10.0);
+        assert_eq!(510.0 - t.checkpoint_iters(), 10.0);
     }
 
     #[test]

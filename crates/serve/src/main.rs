@@ -10,7 +10,7 @@
 //! | `MUDI_SERVE_PACE`  | `60`             | simulated secs per wall sec; `0` = virtual clock (advance via `POST /admin/clock`) |
 //! | `MUDI_SERVE_PRESET`| `tiny`           | cluster preset: `tiny` or `physical` |
 //! | `MUDI_SERVE_SEED`  | `7`              | simulation seed                    |
-//! | `MUDI_SERVE_LLM`   | `0`              | `1` = extend the zoo with the generative services (Llama-7B, OPT-13B); `POST /v1/infer` with a `"tokens"` field returns per-token verdicts |
+//! | `MUDI_SERVE_LLM`   | off              | `1` or `true` = extend the zoo with the generative services (Llama-7B, OPT-13B); `POST /v1/infer` with a `"tokens"` field returns per-token verdicts |
 //!
 //! Quickstart (see README.md for curl walkthroughs):
 //!
@@ -33,8 +33,7 @@ fn main() {
     let pace = simcore::env::parse_or::<f64>("MUDI_SERVE_PACE", 60.0);
     let seed = simcore::env::parse_or::<u64>("MUDI_SERVE_SEED", 7);
     let preset = simcore::env::string_or("MUDI_SERVE_PRESET", "tiny");
-
-    let llm = simcore::env::parse_or::<u8>("MUDI_SERVE_LLM", 0) != 0;
+    let llm = simcore::env::flag("MUDI_SERVE_LLM");
 
     let mut config = match preset.as_str() {
         "physical" => ClusterConfig::physical(SystemKind::Mudi, seed),

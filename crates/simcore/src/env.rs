@@ -3,16 +3,24 @@
 //! Every `MUDI_*` knob in the workspace is read through these helpers,
 //! so the accepted spellings stay consistent across crates:
 //!
-//! | variable           | helper                | meaning                                    |
-//! |--------------------|-----------------------|--------------------------------------------|
-//! | `MUDI_TRACE`       | [`flag`]              | enable the structured trace bus            |
-//! | `MUDI_THREADS`     | [`parse`]             | worker-pool cap                            |
-//! | `MUDI_TOPOLOGY`    | [`string`]            | rack/node shape, `RACKSxNODES`             |
-//! | `MUDI_FULL_SCALE`  | [`flag`]              | paper-scale benches                        |
-//! | `MUDI_BLESS`       | [`flag`]              | re-record golden snapshots                 |
-//! | `MUDI_SEED`        | [`parse_or`]          | experiment seed                            |
-//! | `MUDI_SERVE_ADDR`  | [`string_or`]         | control-plane listen address               |
-//! | `MUDI_SERVE_PACE`  | [`parse_or`]          | sim-seconds per wall-second (`0` = frozen) |
+//! | variable             | helper           | read by                     | meaning                                      |
+//! |----------------------|------------------|-----------------------------|----------------------------------------------|
+//! | `MUDI_TRACE`         | [`flag`], [`is_set`] | `simcore`, `cluster`    | enable the structured trace bus (and its stderr dump) |
+//! | `MUDI_THREADS`       | [`parse`]        | `simcore::pool`             | worker-pool cap                              |
+//! | `MUDI_SHARDS`        | [`parse`]        | `cluster` engine            | engine lane count (overrides `config.shards`) |
+//! | `MUDI_TOPOLOGY`      | [`string`]       | `simcore::topology`         | rack/node shape, `RACKSxNODES`               |
+//! | `MUDI_FULL_SCALE`    | [`flag`]         | `bench`                     | paper-scale benches                          |
+//! | `MUDI_SEED`          | [`parse_or`]     | `bench`                     | experiment seed                              |
+//! | `MUDI_BLESS`         | [`flag`]         | `bench`, golden tests       | re-record golden snapshots                   |
+//! | `MUDI_BENCH_NO_GATE` | [`flag`]         | `bench::ledger`             | report a ledger-gate regression without failing |
+//! | `MUDI_PERF_SAMPLES`  | [`parse_or`]     | `perf_kernel`               | repetitions per shape (median reported)      |
+//! | `MUDI_FIG22_DEVICES` | [`parse`]        | `fig22_scale`               | run only the sweep of this cluster size      |
+//! | `MUDI_SERVE_ADDR`    | [`string_or`]    | `mudi-serve`                | control-plane listen address                 |
+//! | `MUDI_SERVE_PACE`    | [`parse_or`]     | `mudi-serve`                | sim-seconds per wall-second (`0` = frozen)   |
+//! | `MUDI_SERVE_PRESET`  | [`string_or`]    | `mudi-serve`                | cluster preset, `tiny` or `physical`         |
+//! | `MUDI_SERVE_SEED`    | [`parse_or`]     | `mudi-serve`                | simulation seed                              |
+//! | `MUDI_SERVE_LLM`     | [`flag`]         | `mudi-serve`                | add the generative LLM services              |
+//! | `MUDI_ALLOC_TRACE`   | [`flag`]         | `tests/kernel_zero_alloc.rs` | backtrace every allocation in a measured window |
 //!
 //! Boolean flags accept `1` or `true` (anything else is off), numeric
 //! values fall back to their default when unset or unparseable, and

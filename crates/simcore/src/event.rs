@@ -141,21 +141,6 @@ impl<E> EventQueue<E> {
         self.heap.push(ScheduledEvent { at, seq, event });
     }
 
-    /// Peeks the `(time, seq)` ordering key of the next event without
-    /// popping it. Comparing these keys lexicographically across
-    /// queues selects the globally next event.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|ev| (ev.at, ev.seq))
-    }
-
-    /// Iterates the pending events in arbitrary (heap) order, with
-    /// their firing times. Used for speculative warm-up of memoized
-    /// state ahead of an epoch window; callers must not rely on any
-    /// ordering.
-    pub fn iter_scheduled(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.heap.iter().map(|ev| (ev.at, &ev.event))
-    }
-
     /// Pops the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ScheduledEvent { at, event, .. } = self.heap.pop()?;
@@ -274,40 +259,25 @@ mod tests {
         assert_eq!(t, SimTime::from_secs(6.0));
     }
 
-    /// The sharded-queue contract: events spread across several queues
-    /// under one global sequence counter, popped by taking the
-    /// `(time, seq)`-minimum over `peek_key`s, fire in exactly the
-    /// order a single queue would have produced.
+    /// The sharded-queue contract: a queue fed externally assigned
+    /// sequence numbers orders by `(time, seq)`, not by insertion, so
+    /// events scheduled in reverse under the global counter's numbers
+    /// fire in exactly the order a single queue would have produced.
     #[test]
-    fn raw_scheduling_merges_to_single_queue_order() {
+    fn raw_scheduling_orders_by_the_external_sequence() {
         let times = [3.0, 1.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0];
         let mut single = EventQueue::new();
-        let mut sharded: Vec<EventQueue<usize>> = (0..3).map(|_| EventQueue::new()).collect();
+        let mut raw = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             single.schedule_at(SimTime::from_secs(t), i);
-            // Deterministic but scattered shard routing; the global
-            // seq is the insertion index, as in the single queue.
-            sharded[i % 3].schedule_raw(SimTime::from_secs(t), i as u64, i);
         }
-        let mut merged = Vec::new();
-        while let Some((_, s)) = (0..sharded.len())
-            .filter_map(|s| sharded[s].peek_key().map(|k| (k, s)))
-            .min()
-        {
-            merged.push(sharded[s].pop().unwrap().1);
+        for (i, &t) in times.iter().enumerate().rev() {
+            raw.schedule_raw(SimTime::from_secs(t), i as u64, i);
         }
-        let serial: Vec<usize> = std::iter::from_fn(|| single.pop().map(|(_, e)| e)).collect();
-        assert_eq!(merged, serial);
-    }
-
-    #[test]
-    fn iter_scheduled_sees_all_pending_events() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(2.0), "b");
-        q.schedule_at(SimTime::from_secs(1.0), "a");
-        let mut seen: Vec<&str> = q.iter_scheduled().map(|(_, &e)| e).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec!["a", "b"]);
+        let drain = |q: &mut EventQueue<usize>| -> Vec<usize> {
+            std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
+        };
+        assert_eq!(drain(&mut raw), drain(&mut single));
     }
 
     #[test]

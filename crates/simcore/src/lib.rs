@@ -5,7 +5,7 @@
 //! ([`SimTime`], [`SimDuration`]), seeded random-number utilities and
 //! probability distributions ([`rng`], [`dist`]), and streaming metric
 //! sinks used by every experiment (histograms with percentile queries,
-//! time-weighted utilization integrators, time series, CDF builders),
+//! time-weighted utilization integrators, CDF builders),
 //! and a scoped worker pool ([`pool`]) that fans independent experiment
 //! cells out across cores without changing their output.
 //!
@@ -27,14 +27,12 @@ pub mod trace;
 
 pub use dist::{normal_cdf, normal_quantile, Exponential, LogNormal, Normal, Poisson};
 pub use event::{EventQueue, ScheduledEvent};
-pub use metrics::{
-    fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, TimeSeries, UtilizationIntegrator,
-};
-pub use pool::{max_workers, scoped_for_each_mut, scoped_map, scoped_map_workers};
+pub use metrics::{fold_ordered, tree_fold, Cdf, Histogram, StreamingStats, UtilizationIntegrator};
+pub use pool::{fold_chunks_mut, max_workers, scoped_for_each_mut, scoped_map_workers};
 pub use rng::{MergeKey, SimRng};
 pub use shard::ShardMap;
 pub use time::{SimDuration, SimTime};
-pub use topology::{DeviceAddress, Topology, TopologyShape};
+pub use topology::{Topology, TopologyShape};
 pub use trace::{
     FaultClass, SimEvent, SimEventKind, TraceBus, TraceConfig, TraceSummary, TracedEvent,
 };

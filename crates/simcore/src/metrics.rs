@@ -6,8 +6,6 @@
 //!   queries (P50/P90/P99 as the paper reports).
 //! * [`UtilizationIntegrator`] — time-weighted average of a piecewise-
 //!   constant signal such as SM or memory utilization.
-//! * [`TimeSeries`] — raw `(t, v)` samples with fixed-interval resampling
-//!   for the utilization-over-time figures.
 //! * [`Cdf`] — empirical CDF for the trace-analysis figures.
 
 use crate::time::SimTime;
@@ -358,78 +356,6 @@ impl UtilizationIntegrator {
     }
 }
 
-/// Raw `(t, v)` time series with fixed-interval resampling.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(f64, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a sample; times must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the previous sample.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        let t = t.as_secs();
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(t >= last, "time series must be appended in order");
-        }
-        self.points.push((t, v));
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` when the series has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Raw samples as `(seconds, value)` pairs.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// Means over consecutive windows of `interval` seconds, covering the
-    /// full observed span. Empty windows repeat the previous mean.
-    pub fn resample_mean(&self, interval: f64) -> Vec<(f64, f64)> {
-        assert!(interval > 0.0);
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let start = self.points[0].0;
-        let end = self.points[self.points.len() - 1].0;
-        let mut out = Vec::new();
-        let mut idx = 0;
-        let mut last_mean = self.points[0].1;
-        let mut w_start = start;
-        while w_start <= end {
-            let w_end = w_start + interval;
-            let mut sum = 0.0;
-            let mut n = 0u32;
-            while idx < self.points.len() && self.points[idx].0 < w_end {
-                sum += self.points[idx].1;
-                n += 1;
-                idx += 1;
-            }
-            if n > 0 {
-                last_mean = sum / n as f64;
-            }
-            out.push((w_start, last_mean));
-            w_start = w_end;
-        }
-        out
-    }
-}
-
 /// An empirical CDF built from a finite sample.
 #[derive(Clone, Debug, Default)]
 pub struct Cdf {
@@ -571,17 +497,6 @@ mod tests {
         assert!((u.time_average() - 0.5).abs() < 1e-12);
         assert_eq!(u.peak(), 0.8);
         assert_eq!(u.span_secs(), 20.0);
-    }
-
-    #[test]
-    fn time_series_resample() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(SimTime::from_secs(i as f64), i as f64);
-        }
-        let r = ts.resample_mean(2.0);
-        assert_eq!(r[0], (0.0, 0.5));
-        assert_eq!(r[1], (2.0, 2.5));
     }
 
     #[test]

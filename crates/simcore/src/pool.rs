@@ -1,10 +1,14 @@
-//! A zero-dependency scoped worker pool for experiment fan-out.
+//! A zero-dependency scoped worker pool for experiment fan-out and the
+//! sharded engine's fork-join barriers.
 //!
 //! The paper's evaluation replays dozens of independent
 //! (system × seed × fault-rate × load) simulation cells; each cell owns
 //! its configuration and its [`crate::SimRng`] streams, so cells can run
-//! on separate cores with **no change in output**. [`scoped_map`] is the
-//! fan-out primitive the experiment drivers use:
+//! on separate cores with **no change in output**. [`scoped_map_workers`]
+//! is the fan-out primitive the experiment drivers use,
+//! [`scoped_for_each_mut`] is the engine's per-shard barrier, and
+//! [`fold_chunks_mut`] is its chunked device-table reduction. All three
+//! run on one private fork-join loop, so they share its contracts:
 //!
 //! * **Order-preserving:** output `i` is `f(items[i])` regardless of
 //!   which worker ran it or when it finished, so parallel results are
@@ -15,14 +19,13 @@
 //! * **Bounded:** workers default to [`std::thread::available_parallelism`],
 //!   overridable with the `MUDI_THREADS` environment variable
 //!   (`MUDI_THREADS=1` forces serial execution in the calling thread).
-//!
 //! * **Not nested:** a fan-out called from inside a pool worker (an
 //!   experiment cell that trains a model, a cell that steps a sharded
 //!   engine) runs inline on that worker, so a sweep never holds more
 //!   than [`max_workers`] threads. Outputs do not depend on the worker
 //!   count, so running inline changes nothing but the schedule.
 //!
-//! Built on [`std::thread::scope`], so `f` may borrow from the caller's
+//! Workers are scoped threads, so `f` may borrow from the caller's
 //! stack and no `'static` bounds are required.
 
 use std::cell::Cell;
@@ -60,8 +63,8 @@ fn as_worker<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
-/// The worker count a fan-out over `n` items actually uses: `requested`
-/// clamped to `[1, n]`, and 1 inside a pool worker.
+/// The worker count a fan-out over `n >= 1` items actually uses:
+/// `requested` clamped to `[1, n]`, and 1 inside a pool worker.
 fn effective_workers(requested: usize, n: usize) -> usize {
     if in_worker() {
         1
@@ -70,113 +73,28 @@ fn effective_workers(requested: usize, n: usize) -> usize {
     }
 }
 
-/// Maps `f` over `items` on up to [`max_workers`] worker threads,
-/// returning outputs in input order. See the module docs for the
-/// determinism and panic contracts.
-pub fn scoped_map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    scoped_map_workers(items, max_workers(), f)
+/// Runs `body` for item `i`, relabelling a panic as
+/// `"{label} {i} panicked: {message}"`.
+fn labelled<R>(label: &str, i: usize, body: impl FnOnce() -> R) -> R {
+    match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(r) => r,
+        Err(payload) => panic!("{label} {i} panicked: {}", panic_message(payload.as_ref())),
+    }
 }
 
-/// [`scoped_map`] with an explicit worker count (tests pin 1/2/8 here
-/// without touching the process environment). `workers` is clamped to
-/// `[1, items.len()]`; `workers == 1`, or a call from inside a pool
-/// worker, runs in the calling thread.
-pub fn scoped_map_workers<I, O, F>(items: Vec<I>, workers: usize, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = effective_workers(workers, n);
-    if workers == 1 {
-        // Serial fast path: same panic labelling, no thread machinery.
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| run_labelled(&f, i, item))
-            .collect();
-    }
-
-    // Work distribution: an atomic cursor hands each index to exactly
-    // one worker; item `i` is taken from slot `i` and its output lands
-    // in slot `i`, so ordering is positional, never temporal. The
-    // per-slot mutexes are uncontended (each is touched by one worker).
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let out: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("item slot lock")
-                    .take()
-                    .expect("each index is claimed exactly once");
-                match catch_unwind(AssertUnwindSafe(|| as_worker(|| f(item)))) {
-                    Ok(o) => *out[i].lock().expect("output slot lock") = Some(o),
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        let mut slot = failure.lock().expect("failure slot lock");
-                        // Keep the lowest-index failure so the caller
-                        // sees a stable report when several race.
-                        if slot.as_ref().is_none_or(|&(j, _)| i < j) {
-                            *slot = Some((i, msg));
-                        }
-                        // Stop handing out further work.
-                        cursor.store(n, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some((i, msg)) = failure.into_inner().expect("failure slot") {
-        panic!("scoped_map: item {i} panicked: {msg}");
-    }
-    out.into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("output slot")
-                .expect("every index ran to completion")
-        })
-        .collect()
-}
-
-/// Fork-join barrier over mutable per-shard work: runs
+/// The one claim loop behind every public entry point: runs
 /// `f(i, &mut work[i])` for every item on up to `workers` threads and
-/// returns only when **all** items have completed — the epoch-barrier
-/// primitive of the sharded engine.
+/// returns when **all** items have completed.
 ///
-/// * **Disjoint by construction:** each `&mut work[i]` is handed to
-///   exactly one worker, so shard states (which may hold `!Sync`
-///   interior-mutability memos) are never shared across threads.
-/// * **Serial fast path:** `workers <= 1`, a single item, or a call
-///   from inside a pool worker runs in the calling thread with no
-///   thread machinery and no allocation — the 1-shard engine keeps its
-///   zero-allocation steady state.
-/// * **Panic-propagating:** a panicking shard joins all workers and
-///   re-panics in the caller labelled with the shard index.
-///
-/// The multi-worker path allocates O(items) claim slots and spawns
-/// `workers` threads **per call**; callers amortize this by choosing
-/// epoch windows long enough to batch meaningful work per barrier.
-pub fn scoped_for_each_mut<W, F>(work: &mut [W], workers: usize, f: F)
+/// An atomic cursor hands each index to exactly one worker, so item
+/// states (which may hold `!Sync` memos) are never shared across
+/// threads; the per-slot mutexes are uncontended. A panic stops the
+/// hand-out and re-panics in the caller as `"{label} {i} panicked: …"`,
+/// reporting the lowest failing index when several race. One worker,
+/// one item, or a call from inside a pool worker runs inline without
+/// allocating; otherwise each call allocates O(items) slots and spawns
+/// its threads, so callers batch meaningful work per call.
+fn fork_join<W, F>(work: &mut [W], workers: usize, label: &str, f: F)
 where
     W: Send,
     F: Fn(usize, &mut W) + Sync,
@@ -188,23 +106,13 @@ where
     let workers = effective_workers(workers, n);
     if workers == 1 {
         for (i, w) in work.iter_mut().enumerate() {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, w))) {
-                panic!(
-                    "scoped_for_each_mut: shard {i} panicked: {}",
-                    panic_message(payload.as_ref())
-                );
-            }
+            labelled(label, i, || f(i, w));
         }
         return;
     }
-
-    // Same claim discipline as `scoped_map_workers`: an atomic cursor
-    // hands each index to exactly one worker, and the per-slot mutex
-    // transfers the `&mut` borrow without contention.
-    let slots: Vec<Mutex<Option<&mut W>>> = work.iter_mut().map(|w| Mutex::new(Some(w))).collect();
+    let slots: Vec<Mutex<&mut W>> = work.iter_mut().map(Mutex::new).collect();
     let cursor = AtomicUsize::new(0);
     let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -212,12 +120,9 @@ where
                 if i >= n {
                     break;
                 }
-                let w = slots[i]
-                    .lock()
-                    .expect("work slot lock")
-                    .take()
-                    .expect("each shard is claimed exactly once");
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| as_worker(|| f(i, w)))) {
+                let mut w = slots[i].lock().expect("work slot lock");
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| as_worker(|| f(i, &mut w))))
+                {
                     let msg = panic_message(payload.as_ref());
                     let mut slot = failure.lock().expect("failure slot lock");
                     if slot.as_ref().is_none_or(|&(j, _)| i < j) {
@@ -229,26 +134,81 @@ where
             });
         }
     });
-
     if let Some((i, msg)) = failure.into_inner().expect("failure slot") {
-        panic!("scoped_for_each_mut: shard {i} panicked: {msg}");
+        panic!("{label} {i} panicked: {msg}");
     }
 }
 
-/// Runs one item serially, relabelling a panic with the item index to
-/// match the threaded path's contract.
-fn run_labelled<I, O, F>(f: &F, i: usize, item: I) -> O
+/// Maps `f` over `items` on up to `workers` threads (drivers pass
+/// [`max_workers`]; tests pin 1/2/8), returning outputs in input order.
+pub fn scoped_map_workers<I, O, F>(items: Vec<I>, workers: usize, f: F) -> Vec<O>
 where
-    F: Fn(I) -> O,
+    I: Send,
+    O: Send,
+    F: Fn(I) -> O + Sync,
 {
-    match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(o) => o,
-        Err(payload) => {
-            panic!(
-                "scoped_map: item {i} panicked: {}",
-                panic_message(payload.as_ref())
-            )
+    let mut slots: Vec<(Option<I>, Option<O>)> =
+        items.into_iter().map(|x| (Some(x), None)).collect();
+    fork_join(
+        &mut slots,
+        workers,
+        "scoped_map_workers: item",
+        |_, (item, out)| {
+            *out = item.take().map(&f);
+        },
+    );
+    slots
+        .into_iter()
+        .map(|(_, out)| out.expect("every item ran"))
+        .collect()
+}
+
+/// The sharded engine's epoch barrier: runs `f(i, &mut work[i])` for
+/// every shard on up to `workers` threads and returns when all are
+/// done. One shard or one worker runs inline without allocating, so
+/// the 1-shard engine keeps its zero-allocation steady state.
+pub fn scoped_for_each_mut<W, F>(work: &mut [W], workers: usize, f: F)
+where
+    W: Send,
+    F: Fn(usize, &mut W) + Sync,
+{
+    fork_join(work, workers, "scoped_for_each_mut: shard", f);
+}
+
+/// Chunked reduction over a mutable table: runs `map(base, piece)` over
+/// `items` cut into fixed `chunk`-sized pieces (`base` is the piece's
+/// first index; the last piece may be shorter) on up to `workers`
+/// threads, and hands the results to `fold` on the calling thread **in
+/// piece order**. The pieces depend only on `items.len()` and `chunk`,
+/// so a float fold over them groups its terms identically at every
+/// worker count. One piece or one worker runs inline and allocates
+/// nothing. A panic in `map` is labelled with its piece.
+pub fn fold_chunks_mut<T, R, M, F>(
+    items: &mut [T],
+    chunk: usize,
+    workers: usize,
+    map: M,
+    mut fold: F,
+) where
+    T: Send,
+    R: Send,
+    M: Fn(usize, &mut [T]) -> R + Sync,
+    F: FnMut(R),
+{
+    const LABEL: &str = "fold_chunks_mut: piece";
+    let pieces = items.len().div_ceil(chunk);
+    if pieces <= 1 || effective_workers(workers, pieces) == 1 {
+        for (k, piece) in items.chunks_mut(chunk).enumerate() {
+            fold(labelled(LABEL, k, || map(k * chunk, piece)));
         }
+        return;
+    }
+    let mut work: Vec<(&mut [T], Option<R>)> = items.chunks_mut(chunk).map(|p| (p, None)).collect();
+    fork_join(&mut work, workers, LABEL, |k, (piece, out)| {
+        *out = Some(map(k * chunk, piece));
+    });
+    for (_, out) in work {
+        fold(out.expect("every piece ran"));
     }
 }
 
@@ -379,10 +339,22 @@ mod tests {
                 assert_eq!(std::thread::current().id(), me);
                 *w = i as u64;
             });
-            inner.iter().sum::<u64>() + work.iter().sum::<u64>()
+            let mut folded = 0u64;
+            fold_chunks_mut(
+                &mut work,
+                4,
+                8,
+                |_, piece| {
+                    record();
+                    assert_eq!(std::thread::current().id(), me);
+                    piece.iter().sum::<u64>()
+                },
+                |s| folded += s,
+            );
+            inner.iter().sum::<u64>() + work.iter().sum::<u64>() + folded
         });
         let expect: Vec<u64> = (0..outer_workers as u64)
-            .map(|x| (0..16).map(|y| x * 100 + y).sum::<u64>() + (0..16).sum::<u64>())
+            .map(|x| (0..16).map(|y| x * 100 + y).sum::<u64>() + 2 * (0..16).sum::<u64>())
             .collect();
         assert_eq!(outer, expect);
         let threads = seen.into_inner().unwrap().len();
@@ -394,5 +366,69 @@ mod tests {
     fn for_each_mut_empty_work_is_a_no_op() {
         let mut work: Vec<u32> = Vec::new();
         scoped_for_each_mut(&mut work, 4, |_, _| unreachable!());
+    }
+
+    /// The chunked fold hands `fold` every piece's result in piece
+    /// order, with bit-identical float sums, at every worker count —
+    /// for an empty table, one short piece, an exact multiple of the
+    /// chunk and a ragged tail.
+    #[test]
+    fn fold_chunks_matches_the_serial_chunk_fold_at_every_worker_count() {
+        const CHUNK: usize = 4;
+        for len in [0, 3, 12, 14] {
+            let mut items: Vec<f64> = (0..len).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+            let mut want_pieces = Vec::new();
+            let mut want_sum = 0.0f64;
+            for (k, piece) in items.chunks(CHUNK).enumerate() {
+                want_pieces.push((k * CHUNK, piece.len()));
+                want_sum += piece.iter().sum::<f64>();
+            }
+            for workers in [1, 2, 3, 8] {
+                let mut pieces = Vec::new();
+                let mut sum = 0.0f64;
+                fold_chunks_mut(
+                    &mut items,
+                    CHUNK,
+                    workers,
+                    |base, piece| (base, piece.len(), piece.iter().sum::<f64>()),
+                    |(base, n, s)| {
+                        pieces.push((base, n));
+                        sum += s;
+                    },
+                );
+                assert_eq!(pieces, want_pieces, "len={len} workers={workers}");
+                assert_eq!(
+                    sum.to_bits(),
+                    want_sum.to_bits(),
+                    "len={len} workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_chunks_labels_the_panicking_piece() {
+        for workers in [1, 4] {
+            let err = std::panic::catch_unwind(|| {
+                let mut items = vec![0u32; 10];
+                fold_chunks_mut(
+                    &mut items,
+                    3,
+                    workers,
+                    |base, _| {
+                        if base == 6 {
+                            panic!("boom");
+                        }
+                    },
+                    |()| {},
+                );
+            })
+            .unwrap_err();
+            let msg = panic_message(err.as_ref());
+            assert!(
+                msg.contains("piece 2") && msg.contains("boom"),
+                "workers={workers}: {msg}"
+            );
+        }
     }
 }

@@ -127,11 +127,6 @@ impl SimDuration {
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
-
-    /// Returns `true` if the duration is exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
 }
 
 impl Eq for SimTime {}

@@ -406,11 +406,6 @@ impl TraceBus {
         self.emitted
     }
 
-    /// The retained recent events, oldest first.
-    pub fn recent(&self) -> impl Iterator<Item = &TracedEvent> {
-        self.ring.iter()
-    }
-
     /// The sequence number the *next* emitted event will carry. A
     /// subscriber that wants "only new events from here on" starts its
     /// cursor at this value.
@@ -548,7 +543,7 @@ mod tests {
         assert!(!bus.is_enabled());
         assert_eq!(bus.emitted(), 0);
         assert!(bus.summary().is_empty());
-        assert_eq!(bus.recent().count(), 0);
+        assert_eq!(bus.events_since(0).count(), 0);
     }
 
     #[test]
@@ -588,12 +583,12 @@ mod tests {
         for d in 0..10 {
             bus.emit(SimTime::from_secs(d as f64), ev_fault(d));
         }
-        assert_eq!(bus.recent().count(), 4);
+        assert_eq!(bus.events_since(0).count(), 4);
         assert_eq!(bus.summary().dropped(), 6);
         // Counters keep the full total even though the ring is bounded.
         assert_eq!(bus.summary().count(SimEventKind::FaultApplied), 10);
         // The retained tail is the newest four.
-        let first = bus.recent().next().unwrap();
+        let first = bus.events_since(0).next().unwrap();
         assert!((first.at.as_secs() - 6.0).abs() < 1e-12);
     }
 
@@ -683,7 +678,7 @@ mod tests {
         assert_eq!(bus.missed_since(0), 6);
         assert_eq!(bus.missed_since(8), 0);
         // Sequence numbers survive into clones of retained events.
-        let last = bus.recent().last().unwrap();
+        let last = bus.events_since(0).last().unwrap();
         assert_eq!(last.seq, 9);
         assert!((last.at.as_secs() - 9.0).abs() < 1e-12);
     }

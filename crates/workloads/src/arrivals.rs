@@ -123,11 +123,6 @@ impl BurstSchedule {
         BurstSchedule { steps }
     }
 
-    /// A flat schedule at the given multiplier.
-    pub fn constant(multiplier: f64) -> Self {
-        Self::new(vec![(SimTime::ZERO, multiplier)])
-    }
-
     /// The Fig. 16 case study: baseline load, 3× between 100 s and
     /// 200 s, baseline afterwards.
     pub fn fig16_burst() -> Self {
@@ -283,7 +278,7 @@ mod tests {
 
     #[test]
     fn constant_schedule() {
-        let s = BurstSchedule::constant(2.0);
+        let s = BurstSchedule::new(vec![(SimTime::ZERO, 2.0)]);
         assert_eq!(s.multiplier_at(SimTime::from_secs(1e6)), 2.0);
         assert_eq!(s.next_change_after(SimTime::ZERO), None);
     }

@@ -145,10 +145,7 @@ fn step_to(session: &mut ClusterSession, from: f64, to: f64, step: f64) -> u64 {
 #[test]
 fn steady_state_stepping_allocates_nothing() {
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    TRACE_ON.store(
-        std::env::var_os("MUDI_ALLOC_TRACE").is_some_and(|v| v == "1"),
-        Ordering::SeqCst,
-    );
+    TRACE_ON.store(simcore::env::flag("MUDI_ALLOC_TRACE"), Ordering::SeqCst);
 
     // Sanity-check the counter before trusting any zero below.
     let before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -216,10 +213,7 @@ fn steady_state_stepping_allocates_nothing() {
 #[test]
 fn sharded_stepping_allocation_contract() {
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    TRACE_ON.store(
-        std::env::var_os("MUDI_ALLOC_TRACE").is_some_and(|v| v == "1"),
-        Ordering::SeqCst,
-    );
+    TRACE_ON.store(simcore::env::flag("MUDI_ALLOC_TRACE"), Ordering::SeqCst);
 
     let mut config = ClusterConfig::tiny(SystemKind::Mudi, 7);
     config.shards = 2;
@@ -280,5 +274,40 @@ fn dense_service_ids_round_trip_to_key_set() {
         ids,
         (0..ids.len()).collect::<Vec<_>>(),
         "dense service ids must form a contiguous 0..k block, got {ids:?}"
+    );
+}
+
+/// The engine's chunked device-table fold (`simcore::fold_chunks_mut`,
+/// behind the utilization sample and the placement candidate scan)
+/// runs inline at one worker: three pieces, ragged tail included,
+/// fold without a single allocation.
+#[test]
+fn chunked_fold_at_one_worker_allocates_nothing() {
+    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    TRACE_ON.store(simcore::env::flag("MUDI_ALLOC_TRACE"), Ordering::SeqCst);
+
+    let mut items: Vec<f64> = (0..10).map(|i| i as f64 + 0.5).collect();
+    let mut pieces = 0usize;
+    let mut total = 0.0f64;
+
+    ARMED.store(true, Ordering::SeqCst);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    simcore::fold_chunks_mut(
+        &mut items,
+        4,
+        1,
+        |_, piece| piece.iter().sum::<f64>(),
+        |s| {
+            pieces += 1;
+            total += s;
+        },
+    );
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    ARMED.store(false, Ordering::SeqCst);
+
+    assert_eq!((pieces, total), (3, 50.0));
+    assert_eq!(
+        delta, 0,
+        "fold_chunks_mut at one worker allocated {delta} times"
     );
 }

@@ -1,5 +1,5 @@
 //! Property tests for the scoped worker pool (`simcore::pool`), via the
-//! in-tree proptest shim: `scoped_map` must behave exactly like a
+//! in-tree proptest shim: `scoped_map_workers` must behave exactly like a
 //! serial `map` for every (item count × worker count) shape — items >
 //! workers, workers > items, and empty input all included — and a
 //! panicking item must surface its index to the caller.

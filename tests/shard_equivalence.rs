@@ -16,10 +16,10 @@
 //! every run here resolves to the same count and the comparisons hold
 //! trivially. The unsuffixed CI test job runs without the override.
 
-use cluster::engine::{ClusterConfig, ClusterEngine};
+use cluster::engine::{ClusterConfig, ClusterEngine, ClusterSession, ScalePreset};
 use cluster::systems::SystemKind;
 use resilience::{CorrelatedFaultConfig, FaultProfile};
-use simcore::TopologyShape;
+use simcore::{SimTime, TopologyShape};
 
 fn canon(cfg: ClusterConfig, scale: f64) -> String {
     ClusterEngine::new(cfg).run(scale).0.canonical_text()
@@ -76,4 +76,26 @@ fn eight_rack_topology_is_identical_at_1_vs_8_shards() {
     assert_eq!(one, canon(build(8), 0.01), "8 shards drifted from 1");
     // Requests above the rack count clamp to it (8 here).
     assert_eq!(one, canon(build(64), 0.01), "clamped count drifted");
+}
+
+/// A cluster wider than one piece of the engine's 4,096-device
+/// device-table fold (4,608 devices: two pieces, the second ragged).
+/// At two workers the utilization sample and the placement candidate
+/// scan take the parallel chunked-fold path; at one worker they fold
+/// the same pieces inline. The simulated outcome must not move.
+#[test]
+fn multi_piece_device_fold_is_identical_at_1x1_and_2x2() {
+    let run = |shards: usize, workers: usize| {
+        let cfg = ClusterConfig::builder(ScalePreset::Simulated, SystemKind::Mudi, 7)
+            .devices(4_608)
+            .jobs(16)
+            .shards(shards)
+            .workers(workers)
+            .max_sim_secs(1_800.0)
+            .build();
+        let mut session = ClusterSession::new_scaled(cfg, 0.01);
+        session.step_until(SimTime::from_secs(1_800.0));
+        session.finish().fingerprint()
+    };
+    assert_eq!(run(1, 1), run(2, 2), "(2, 2) drifted from (1, 1)");
 }
